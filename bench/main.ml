@@ -977,36 +977,52 @@ let bench_scale_sweep () =
   section "E-P7  Case-study scaling with data volume (wall clock)";
   Printf.printf "  %8s %10s %12s %14s %14s\n" "proteins" "rows" "integrate"
     "Q4 (cold)" "Q4 (warm)";
-  List.iter
-    (fun scale ->
-      let ds = Sources.generate ~scale () in
-      let rows =
-        List.fold_left
-          (fun acc db ->
-            List.fold_left
-              (fun acc t -> acc + Automed_datasource.Relational.row_count t)
-              acc
-              (Automed_datasource.Relational.tables db))
-          0
-          [ ds.Sources.pedro; ds.Sources.gpmdb; ds.Sources.pepseeker ]
-      in
-      let repo = Repository.create () in
-      ok (Sources.wrap_all repo ds);
-      let t0 = Telemetry.wall_clock () in
-      let run = ok (Intersection_run.execute repo) in
-      let t_integrate = Telemetry.wall_clock () -. t0 in
-      let proc = Processor.create repo in
-      let global = Workflow.global_name run.Intersection_run.workflow in
-      let q4 = Parser.parse_exn (Queries.find 4).Automed_ispider.Queries.global_text in
-      let t0 = Telemetry.wall_clock () in
-      ignore (ok_p (Processor.run proc ~schema:global q4));
-      let t_cold = Telemetry.wall_clock () -. t0 in
-      let t0 = Telemetry.wall_clock () in
-      ignore (ok_p (Processor.run proc ~schema:global q4));
-      let t_warm = Telemetry.wall_clock () -. t0 in
-      Printf.printf "  %8d %10d %10.1f ms %12.1f ms %12.2f ms\n" scale rows
-        (t_integrate *. 1000.0) (t_cold *. 1000.0) (t_warm *. 1000.0))
-    [ 10; 30; 100; 300 ]
+  let point scale =
+    let ds = Sources.generate ~scale () in
+    let rows =
+      List.fold_left
+        (fun acc db ->
+          List.fold_left
+            (fun acc t -> acc + Automed_datasource.Relational.row_count t)
+            acc
+            (Automed_datasource.Relational.tables db))
+        0
+        [ ds.Sources.pedro; ds.Sources.gpmdb; ds.Sources.pepseeker ]
+    in
+    let repo = Repository.create () in
+    ok (Sources.wrap_all repo ds);
+    let t0 = Telemetry.wall_clock () in
+    let run = ok (Intersection_run.execute repo) in
+    let t_integrate = Telemetry.wall_clock () -. t0 in
+    let proc = Processor.create repo in
+    let global = Workflow.global_name run.Intersection_run.workflow in
+    let q4 = Parser.parse_exn (Queries.find 4).Automed_ispider.Queries.global_text in
+    let t0 = Telemetry.wall_clock () in
+    ignore (ok_p (Processor.run proc ~schema:global q4));
+    let t_cold = Telemetry.wall_clock () -. t0 in
+    let t0 = Telemetry.wall_clock () in
+    ignore (ok_p (Processor.run proc ~schema:global q4));
+    let t_warm = Telemetry.wall_clock () -. t0 in
+    Printf.printf "  %8d %10d %10.1f ms %12.1f ms %12.2f ms\n" scale rows
+      (t_integrate *. 1000.0) (t_cold *. 1000.0) (t_warm *. 1000.0);
+    (log (float_of_int rows), log t_cold, log t_warm)
+  in
+  let points = List.map point [ 10; 30; 100; 300 ] in
+  (* least-squares slope of log time on log rows: 1 is linear in the
+     data, 2 quadratic *)
+  let slope log_time =
+    let mean f =
+      List.fold_left (fun acc p -> acc +. f p) 0.0 points
+      /. float_of_int (List.length points)
+    in
+    let log_rows (x, _, _) = x in
+    let mx = mean log_rows and my = mean log_time in
+    mean (fun p -> (log_rows p -. mx) *. (log_time p -. my))
+    /. mean (fun p -> (log_rows p -. mx) ** 2.0)
+  in
+  Printf.printf "  log-log slope of Q4 time vs rows: cold %.2f, warm %.2f\n"
+    (slope (fun (_, c, _) -> c))
+    (slope (fun (_, _, w) -> w))
 
 let bench_integration_end_to_end () =
   (* E-P6: end-to-end integration runtime, intersection vs classical *)

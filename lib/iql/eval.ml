@@ -2,6 +2,12 @@ module Scheme = Automed_base.Scheme
 module Telemetry = Automed_telemetry.Telemetry
 module SM = Map.Make (String)
 
+module VM = Map.Make (struct
+  type t = Value.t
+
+  let compare = Value.compare
+end)
+
 type env = {
   schemes : Scheme.t -> Value.Bag.t option;
   vars : Value.t SM.t;
@@ -116,6 +122,122 @@ let apply_binop_exn op a b =
   | Monus ->
       Value.Bag (Value.Bag.monus (as_bag "--" a) (as_bag "--" b))
 
+(* -- indexed equi-joins ---------------------------------------------------- *)
+
+(* A comprehension's qualifiers, with each generator's equi-join keys:
+   the run of filters [a = b] right after it where one side reads only
+   the pattern's variables (at least one) and the other reads none of
+   them, both sides built from variables, constants and tuples. *)
+type step = QFilter of Ast.expr | QGen of Ast.pat * Ast.expr * join option
+
+and join = {
+  inner : Ast.expr list;  (** key sides over the pattern's variables *)
+  outer : Ast.expr list;  (** the matching sides over the enclosing scope *)
+  after : step list;  (** the qualifiers after the key filters *)
+  mutable probed : Value.Bag.t option;  (** the last bag probed *)
+  mutable index : Value.Bag.t VM.t option;
+      (** [probed]'s matching elements grouped by inner key, each group
+          a sub-bag sharing [probed]'s entries *)
+}
+
+let rec key_shaped : Ast.expr -> bool = function
+  | Var _ | Const _ -> true
+  | Tuple es -> List.for_all key_shaped es
+  | _ -> false
+
+let join_key pvars (f : Ast.expr) =
+  match f with
+  | Binop (Eq, a, b) when key_shaped a && key_shaped b ->
+      let bound x = List.mem x pvars in
+      let inner e =
+        match Ast.vars e with [] -> false | vs -> List.for_all bound vs
+      in
+      let outer e = not (List.exists bound (Ast.vars e)) in
+      if inner a && outer b then Some (a, b)
+      else if inner b && outer a then Some (b, a)
+      else None
+  | _ -> None
+
+let rec compile = function
+  | [] -> []
+  | Ast.Filter f :: rest -> QFilter f :: compile rest
+  | Ast.Gen (p, src) :: rest ->
+      let pvars = Ast.pat_vars p in
+      let rec keys = function
+        | Ast.Filter f :: rest -> (
+            match join_key pvars f with
+            | Some k -> k :: keys rest
+            | None -> [])
+        | _ -> []
+      in
+      let steps = compile rest in
+      let join =
+        match keys rest with
+        | [] -> None
+        | ks ->
+            let n = List.length ks in
+            Some
+              {
+                inner = List.map fst ks;
+                outer = List.map snd ks;
+                after = List.filteri (fun i _ -> i >= n) steps;
+                probed = None;
+                index = None;
+              }
+      in
+      QGen (p, src, join) :: steps
+
+(* key sides are variables, constants and tuples only: [Not_found] is an
+   unbound variable *)
+let rec key_value vars : Ast.expr -> Value.t = function
+  | Const v -> v
+  | Var x -> SM.find x vars
+  | Tuple es -> Value.Tuple (List.map (key_value vars) es)
+  | _ -> assert false
+
+let key vars = function
+  | [ e ] -> key_value vars e
+  | es -> Value.Tuple (List.map (key_value vars) es)
+
+(* folding the reversed bag and prepending keeps each group in bag order *)
+let build_index j p (b : Value.Bag.t) =
+  Telemetry.count "iql.eval.index_builds";
+  List.fold_left
+    (fun ix ((v, _) as entry) ->
+      match match_pat p v with
+      | None -> ix
+      | Some bs ->
+          let vars = List.fold_left (fun m (x, v) -> SM.add x v m) SM.empty bs in
+          VM.update (key vars j.inner)
+            (fun g -> Some (entry :: Option.value ~default:[] g))
+            ix)
+    VM.empty (List.rev b)
+
+(* The sub-bag of [b] a probe from scope [vars] visits, or [None] to
+   scan all of [b]: on the first probe of a bag (a one-off selection is
+   cheaper as a scan), and when an outer key variable is unbound (the
+   scan then fails exactly as it always did).  The index is built on
+   the second probe of the physically same bag; a new bag drops it. *)
+let probe j p vars b =
+  match key vars j.outer with
+  | exception Not_found -> None
+  | k -> (
+      match j.probed with
+      | Some b' when b' == b ->
+          let ix =
+            match j.index with
+            | Some ix -> ix
+            | None ->
+                let ix = build_index j p b in
+                j.index <- Some ix;
+                ix
+          in
+          Some (Option.value ~default:[] (VM.find_opt k ix))
+      | _ ->
+          j.probed <- Some b;
+          j.index <- None;
+          None)
+
 let rec eval_expr env (e : Ast.expr) : Value.t =
   Telemetry.count "iql.eval.nodes";
   match e with
@@ -154,26 +276,31 @@ let rec eval_expr env (e : Ast.expr) : Value.t =
       (* accumulate weighted results and canonicalise once at the end:
          O(n log n) instead of per-element sorted insertion *)
       let acc = ref [] in
+      let bind_all env bs = List.fold_left (fun e (x, v) -> bind x v e) env bs in
       let rec go env mult = function
         | [] ->
             let v = eval_expr env head in
             acc := (v, mult) :: !acc
-        | Ast.Filter f :: rest ->
+        | QFilter f :: rest ->
             if as_bool "filter" (eval_expr env f) then go env mult rest
-        | Ast.Gen (p, src) :: rest ->
+        | QGen (p, src, join) :: rest -> (
             let b = as_bag "generator source" (eval_expr env src) in
-            Value.Bag.fold
-              (fun v n () ->
-                match match_pat p v with
-                | None -> ()
-                | Some bs ->
-                    let env =
-                      List.fold_left (fun e (x, v) -> bind x v e) env bs
-                    in
-                    go env (mult * n) rest)
-              b ()
+            let scan b quals =
+              Value.Bag.fold
+                (fun v n () ->
+                  match match_pat p v with
+                  | None -> ()
+                  | Some bs -> go (bind_all env bs) (mult * n) quals)
+                b ()
+            in
+            match join with
+            | None -> scan b rest
+            | Some j -> (
+                match probe j p env.vars b with
+                | None -> scan b rest
+                | Some group -> scan group j.after))
       in
-      go env 1 quals;
+      go env 1 (compile quals);
       Value.Bag (Value.Bag.of_weighted_list !acc)
   | App (f, args) -> eval_app env f (List.map (eval_expr env) args)
 
@@ -250,11 +377,6 @@ and eval_app _env f (args : Value.t list) : Value.t =
       (* bag of {k, v} pairs -> bag of {k, bag of vs}; the standard IQL
          grouping operator, with multiplicities preserved inside groups *)
       let b = as_bag "group" (one "group") in
-      let module VM = Map.Make (struct
-        type t = Value.t
-
-        let compare = Value.compare
-      end) in
       let groups =
         Value.Bag.fold
           (fun v n acc ->

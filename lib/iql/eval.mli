@@ -6,6 +6,24 @@
     with multiplicity, refutable patterns filter, and the head is
     collected into a bag whose multiplicities multiply along the nesting.
 
+    {b Equi-joins.}  A generator [p <- src] directly followed by
+    filters [a = b] is evaluated through an index when those filters
+    are join keys: both sides are built only from variables, constants
+    and tuples, one side reads only variables bound by [p] (at least
+    one) and the other reads none of them.  The keys are the maximal run
+    of such filters after the generator.  [src] is still evaluated once
+    per binding of the enclosing qualifiers; the second time it yields
+    the physically same bag, that bag's [p]-matching elements are
+    grouped by key under {!Value.compare} (so [1] and [1.0] stay
+    different keys), and each later binding visits only its own group,
+    in bag order, skipping the key filters.  A bag probed once (a
+    selection such as [x = 'a']) is scanned, a different bag drops the
+    index, and when an enclosing key variable is unbound the generator
+    is scanned as a nested loop.  Answers, errors and the extent lookups
+    made through the environment are therefore exactly those of the
+    filtered nested loop; only the [iql.eval.nodes] count falls, and
+    [iql.eval.index_builds] counts the indexes built.
+
     [Void] evaluates to the empty bag.  [Range l u] evaluates to its lower
     bound [l]: the {e certain} answers (the paper uses lower bounds when a
     contracted object's extent cannot be derived precisely).  [Any] cannot

@@ -145,7 +145,11 @@ module Bag = struct
 
   and cons v n rest = if n <= 0 then rest else (v, n) :: rest
 
-  let union a b = merge ( + ) a b
+  (* canonical bags: an empty side leaves the other unchanged, so share it
+     instead of copying (extent derivation unions at every pathway hop) *)
+  let union a b =
+    match (a, b) with [], b -> b | a, [] -> a | a, b -> merge ( + ) a b
+
   let monus a b = merge (fun x y -> max 0 (x - y)) a b
   let inter a b = merge min a b
   let distinct b = List.map (fun (v, _) -> (v, 1)) b

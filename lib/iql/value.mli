@@ -67,7 +67,8 @@ module Bag : sig
   val mem : elt -> t -> bool
 
   val union : t -> t -> t
-  (** Additive bag union [++]: multiplicities add. *)
+  (** Additive bag union [++]: multiplicities add.  When one side is
+      empty the other is returned as is (physically), not copied. *)
 
   val monus : t -> t -> t
   (** Bag difference [--]: multiplicities subtract, floored at zero. *)

@@ -59,6 +59,8 @@ let all =
       "live source retirements applied through Evolution.evolve";
     h "iql.eval.bag_size" "rows"
       "cardinality of each materialised bag during IQL evaluation";
+    c "iql.eval.index_builds" "indexes"
+      "equi-join indexes built over a comprehension generator's bag";
     c "iql.eval.nodes" "nodes" "IQL AST nodes evaluated";
     c "lint.diagnostics.error" "diagnostics" "lint diagnostics at error level";
     c "lint.diagnostics.info" "diagnostics" "lint diagnostics at info level";

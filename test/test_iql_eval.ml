@@ -233,6 +233,205 @@ let qcheck_eval_canonical =
           | Ok v -> Value.is_canonical v
           | Error _ -> false))
 
+(* -- equi-joins: the indexed path against a nested-loop reference ---------- *)
+
+module Peval = Automed_provenance.Peval
+module Lineage = Automed_provenance.Lineage
+module Telemetry = Automed_telemetry.Telemetry
+
+let a_obj = Scheme.table "a"
+let b_obj = Scheme.table "b"
+
+(* Both evaluators over the same two extents.  [Peval] keeps the filtered
+   nested loop, so it is the naive reference; [Eval]'s schemes hand back
+   the physically same bag on every lookup, as the processor's extent
+   cache does, so its join index is built and used. *)
+let outcomes (a, b) src =
+  let ast = Parser.parse_exn src in
+  let lookup s =
+    if Scheme.equal s a_obj then Some a
+    else if Scheme.equal s b_obj then Some b
+    else None
+  in
+  let plain =
+    Result.map_error
+      (fun (e : Eval.error) -> e.message)
+      (Eval.eval (Eval.env ~schemes:lookup ()) ast)
+  in
+  let schemes s =
+    Option.map (fun b -> Peval.av_of_value Lineage.empty (Value.Bag b)) (lookup s)
+  in
+  let naive =
+    match Peval.eval (Peval.env ~schemes ()) ast with
+    | Ok av -> Ok (Peval.value_of av)
+    | Error e -> Error e.message
+  in
+  (plain, naive)
+
+(* the same answer down to float signs and nan: rendering tells -0 from 0 *)
+let same_outcome x y =
+  match (x, y) with
+  | Ok u, Ok v -> Value.equal u v && Value.to_string u = Value.to_string v
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
+let show_outcome = function
+  | Ok v -> Value.to_string v
+  | Error m -> "error: " ^ m
+
+(* keys mixing numeric kinds that compare apart (1 vs 1.0), nan, -0.0,
+   strings and nested tuples *)
+let key_pool =
+  [
+    v_int 0; v_int 1; Value.Float 1.0; Value.Float 0.0; Value.Float (-0.0);
+    Value.Float Float.nan; v_str "a"; v_str "b";
+    Value.tuple2 (v_int 1) (v_str "a");
+    Value.tuple2 (Value.Float 1.0) (v_str "a");
+  ]
+
+let gen_extent =
+  QCheck.Gen.(
+    let key = oneofl key_pool in
+    let elt =
+      frequency
+        [
+          (6, map2 Value.tuple2 key key);
+          (2, map3 Value.tuple3 key key key);
+          (1, key);
+        ]
+    in
+    map Value.Bag.of_weighted_list
+      (list_size (int_range 0 12) (pair elt (int_range 1 3))))
+
+let join_queries =
+  [
+    (* single key, both orientations *)
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = k]";
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; k = j]";
+    (* composite keys: a tuple key, and a run of two key filters *)
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; {j, y} = {k, x}]";
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = k; y = x]";
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; {j, 1} = {k, 1}]";
+    (* constant keys, probed once per outer binding *)
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = 1]";
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = 1.0; y = x]";
+    (* the pattern side is a whole pattern variable: p = {s, k} *)
+    "[h | {s, k, z} <- <<a>>; {p, h} <- <<b>>; p = {s, k}]";
+    "[h | {s, k, z} <- <<a>>; {p, h} <- <<b>>; {s, k} = p]";
+    (* refutable patterns: constants and arities filter elements out *)
+    "[{x, y} | {k, x} <- <<a>>; {j, 1, y} <- <<b>>; j = k]";
+    "[{x, y} | {k, x} <- <<a>>; {j, y, z} <- <<b>>; j = k; z = x]";
+    (* a pattern variable shadowing an outer one, and a repeated one *)
+    "[{k, x} | {k, x} <- <<a>>; {k, y} <- <<b>>; k = x]";
+    "[x | {k, x} <- <<a>>; {j, j} <- <<b>>; j = x]";
+    (* an unbound outer key variable fails exactly when an element is
+       visited, as in the nested loop *)
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = zz]";
+    (* non-key filters after the keys, one of which can fail *)
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = k; x <> y]";
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = k; x + y = 1]";
+    (* keys reaching two generators back, and a let-bound key *)
+    "[{x, y, w} | {k, x} <- <<a>>; {j, y} <- <<b>>; {i, w} <- <<a>>; i = k; w = y]";
+    "let z = 1.0 in [{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = z]";
+    (* a source rebuilt per outer binding is never the same bag *)
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- [e | e <- <<b>>]; j = k]";
+    "[{x, y} | {k, x} <- <<a>>; {j, y} <- [{i, w} | {i, w} <- <<b>>; w <> x]; j = k]";
+    (* the same join as a correlated subquery in the head *)
+    "[{k, count([y | {j, y} <- <<b>>; j = k])} | {k, x} <- <<a>>]";
+  ]
+
+let qcheck_join_matches_nested_loop =
+  let print (a, b) =
+    Printf.sprintf "a = %s\nb = %s" (Value.to_string (Value.Bag a))
+      (Value.to_string (Value.Bag b))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"indexed equi-joins answer as the nested-loop reference"
+    (QCheck.make ~print (QCheck.Gen.pair gen_extent gen_extent))
+    (fun extents ->
+      List.for_all
+        (fun src ->
+          let plain, naive = outcomes extents src in
+          same_outcome plain naive
+          || QCheck.Test.fail_reportf "%s\n  eval:  %s\n  naive: %s" src
+               (show_outcome plain) (show_outcome naive))
+        join_queries)
+
+let test_join_key_kinds () =
+  (* Int 1 and Float 1.0 are different keys, as under the nested loop's
+     [Value.compare]; multiplicities multiply through the index *)
+  let a =
+    Value.Bag.of_weighted_list
+      [ (Value.tuple2 (v_int 1) (v_str "i"), 2);
+        (Value.tuple2 (Value.Float 1.0) (v_str "f"), 1) ]
+  in
+  let b =
+    Value.Bag.of_weighted_list
+      [ (Value.tuple2 (v_int 1) (v_str "I"), 3);
+        (Value.tuple2 (Value.Float 1.0) (v_str "F"), 1) ]
+  in
+  let plain, naive =
+    outcomes (a, b) "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = k]"
+  in
+  let expected =
+    Ok
+      (Value.Bag
+         (Value.Bag.of_weighted_list
+            [ (Value.tuple2 (v_str "i") (v_str "I"), 6);
+              (Value.tuple2 (v_str "f") (v_str "F"), 1) ]))
+  in
+  Alcotest.(check bool) "indexed answer" true (same_outcome expected plain);
+  Alcotest.(check bool) "reference answer" true (same_outcome expected naive);
+  (* an unbound outer key is the nested loop's error, not an empty join *)
+  let plain, naive =
+    outcomes (a, b) "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = zz]"
+  in
+  Alcotest.(check string) "unbound key" "error: unbound variable zz"
+    (show_outcome plain);
+  Alcotest.(check bool) "same as reference" true (same_outcome plain naive)
+
+(* [iql.eval.nodes] and [iql.eval.index_builds] for one query *)
+let eval_counters (a, b) src =
+  let mem = Telemetry.Memory.create () in
+  let plain, _ =
+    Telemetry.with_sink (Telemetry.Memory.sink mem) (fun () ->
+        outcomes (a, b) src)
+  in
+  ( plain,
+    Telemetry.Memory.counter mem "iql.eval.nodes",
+    Telemetry.Memory.counter mem "iql.eval.index_builds" )
+
+let test_join_uses_index () =
+  let side tag =
+    Value.Bag.of_list
+      (List.init 200 (fun i -> Value.tuple2 (v_str (Printf.sprintf "%s%d" tag i)) (v_int i)))
+  in
+  let extents = (side "l", side "r") in
+  let indexed, nodes, builds =
+    eval_counters extents "[{a, b} | {a, x} <- <<a>>; {b, y} <- <<b>>; y = x]"
+  in
+  (* a dummy filter between the generator and the join filter hides the
+     key from detection: the same join runs as a nested loop *)
+  let looped, loop_nodes, loop_builds =
+    eval_counters extents
+      "[{a, b} | {a, x} <- <<a>>; {b, y} <- <<b>>; true; y = x]"
+  in
+  Alcotest.(check bool) "same answer" true (same_outcome indexed looped);
+  Alcotest.(check string) "200 pairs" "200"
+    (match indexed with
+     | Ok (Value.Bag b) -> string_of_int (Value.Bag.cardinal b)
+     | r -> show_outcome r);
+  Alcotest.(check int) "one index, built once" 1 builds;
+  Alcotest.(check int) "no index for the hidden key" 0 loop_builds;
+  if nodes * 10 > loop_nodes then
+    Alcotest.failf "eval nodes %d indexed vs %d nested loop: under 10x" nodes
+      loop_nodes;
+  (* a selection probed once stays a scan *)
+  let _, _, builds =
+    eval_counters extents "[a | {a, x} <- <<a>>; x = 7]"
+  in
+  Alcotest.(check int) "single probe scans" 0 builds
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -255,4 +454,9 @@ let suite =
     Alcotest.test_case "unbound variables" `Quick test_unbound;
     Alcotest.test_case "match_pat" `Quick test_match_pat;
     QCheck_alcotest.to_alcotest qcheck_eval_canonical;
+    Alcotest.test_case "join keys: numeric kinds, unbound" `Quick
+      test_join_key_kinds;
+    Alcotest.test_case "join index cuts eval nodes 10x" `Quick
+      test_join_uses_index;
+    QCheck_alcotest.to_alcotest qcheck_join_matches_nested_loop;
   ]
