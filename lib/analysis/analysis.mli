@@ -53,9 +53,12 @@ val simplify_certified :
   Transform.pathway ->
   simplification
 (** {!Rewrite.simplify} followed by {!Equiv.check}: the proof-checked
-    simplification pipeline the query processor and the lint autofixer
-    share.  A refusal is counted on the [analysis.rewrites_refused]
-    telemetry counter (certifications on [analysis.rewrites_certified]). *)
+    simplification pipeline behind the lint autofixer and [analyze] (an
+    offline tool: the query processor replays stored pathways as they
+    are).  The two stages run in [analysis.simplify] and
+    [analysis.equiv] telemetry spans.  A refusal is counted on the
+    [analysis.rewrites_refused] telemetry counter (certifications on
+    [analysis.rewrites_certified]). *)
 
 type fix = {
   pathway : string;  (** ["from -> to"] label *)

@@ -6,6 +6,7 @@ module Value = Automed_iql.Value
 module Eval = Automed_iql.Eval
 module Types = Automed_iql.Types
 module Transform = Automed_transform.Transform
+module Telemetry = Automed_telemetry.Telemetry
 
 let ( let* ) = Result.bind
 let err fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -174,6 +175,10 @@ let syntactic_defs_agree ~what d1 d2 =
 let check ?(seed = 0x5EED_CAFEL) ?(trials = 2) ?extents ?(syntactic = true)
     schema ~(original : Transform.pathway)
     ~(candidate : Transform.pathway) =
+  Telemetry.with_span "analysis.equiv"
+    ~attrs:(fun () ->
+      [ ("pathway", original.from_schema ^ " -> " ^ original.to_schema) ])
+  @@ fun () ->
   let* () =
     if
       original.from_schema = candidate.from_schema

@@ -18,8 +18,10 @@
       must be bit-identical (a definition absent on one side is the
       empty contribution [Void]).
 
-    The query processor refuses any rewrite this checker cannot certify,
-    so static simplification is proof-checked rather than trusted. *)
+    The offline rewriting paths ({!Analysis.simplify_certified} behind
+    [lint --fix] and [analyze], and compaction) refuse any rewrite this
+    checker cannot certify, so static simplification is proof-checked
+    rather than trusted. *)
 
 module Scheme = Automed_base.Scheme
 module Schema = Automed_model.Schema
@@ -59,4 +61,5 @@ val check :
     trial index and must cover the source objects (e.g. qcheck-generated
     extents in the property tests).  [syntactic:false] skips the
     per-object syntactic comparison so the differential evaluator can be
-    exercised on its own (used by the mutation tests). *)
+    exercised on its own (used by the mutation tests).  Runs inside an
+    [analysis.equiv] telemetry span. *)

@@ -242,6 +242,11 @@ let passes = [ drop_identity; collapse_chain; cancel_dead_pair; reorder ]
 let max_rounds = 10_000
 
 let simplify schema (p : Transform.pathway) =
+  Telemetry.with_span "analysis.simplify"
+    ~attrs:(fun () ->
+      [ ("pathway", p.from_schema ^ " -> " ^ p.to_schema);
+        ("steps", string_of_int (List.length p.steps)) ])
+  @@ fun () ->
   if Diagnostic.has_errors (Pathway_lint.lint schema p) then
     { pathway = p; applications = []; eligible = false }
   else begin

@@ -27,7 +27,9 @@
     error-severity diagnostics; anything else is returned unchanged with
     [eligible = false].  Simplification is meant to be {e proof-checked},
     not trusted: callers should certify the result with {!Equiv.check}
-    before using it (the query processor refuses uncertified rewrites). *)
+    before using it (the offline autofixer and compaction refuse
+    uncertified rewrites; the query processor replays stored pathways
+    as they are). *)
 
 module Schema = Automed_model.Schema
 module Transform = Automed_transform.Transform
@@ -55,6 +57,6 @@ val rules : (string * string) list
 val simplify : Schema.t -> Transform.pathway -> outcome
 (** Simplifies the pathway against its source schema to a fixpoint.
     Never raises; an ineligible or already-minimal pathway comes back
-    unchanged. *)
+    unchanged.  Runs inside an [analysis.simplify] telemetry span. *)
 
 val pp_application : application Fmt.t

@@ -277,9 +277,10 @@ let rec eval_expr env (e : Ast.expr) : Value.t =
          O(n log n) instead of per-element sorted insertion *)
       let acc = ref [] in
       let bind_all env bs = List.fold_left (fun e (x, v) -> bind x v e) env bs in
+      let head = share_tuples head in
       let rec go env mult = function
         | [] ->
-            let v = eval_expr env head in
+            let v = head env in
             acc := (v, mult) :: !acc
         | QFilter f :: rest ->
             if as_bool "filter" (eval_expr env f) then go env mult rest
@@ -303,6 +304,27 @@ let rec eval_expr env (e : Ast.expr) : Value.t =
       go env 1 (compile quals);
       Value.Bag (Value.Bag.of_weighted_list !acc)
   | App (f, args) -> eval_app env f (List.map (eval_expr env) args)
+
+(* A comprehension head is evaluated once per binding.  A tuple in it
+   whose components come out physically the same as for the previous
+   binding (variables of an outer generator, while an inner one runs)
+   is the previous tuple again, so the answers share it instead of each
+   holding a copy. *)
+and share_tuples (head : Ast.expr) : env -> Value.t =
+  match head with
+  | Tuple es ->
+      let parts = List.map share_tuples es in
+      let last = ref None in
+      fun env -> (
+        Telemetry.count "iql.eval.nodes";
+        let vs = List.map (fun part -> part env) parts in
+        match !last with
+        | Some (ws, t) when List.for_all2 ( == ) vs ws -> t
+        | _ ->
+            let t = Value.Tuple vs in
+            last := Some (vs, t);
+            t)
+  | e -> fun env -> eval_expr env e
 
 and eval_app _env f (args : Value.t list) : Value.t =
   let one what =

@@ -24,6 +24,13 @@
     filtered nested loop; only the [iql.eval.nodes] count falls, and
     [iql.eval.index_builds] counts the indexes built.
 
+    {b Shared head tuples.}  A tuple in a comprehension head whose
+    components are physically the values of the previous binding (an
+    outer generator's variables while an inner one runs) is the
+    previous tuple, so answers share it rather than each holding an
+    equal copy.  Only memory changes: values, errors and counts are
+    those of evaluating the head afresh.
+
     [Void] evaluates to the empty bag.  [Range l u] evaluates to its lower
     bound [l]: the {e certain} answers (the paper uses lower bounds when a
     contracted object's extent cannot be derived precisely).  [Any] cannot

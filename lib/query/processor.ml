@@ -8,10 +8,7 @@ module Transform = Automed_transform.Transform
 module Repository = Automed_repository.Repository
 module Telemetry = Automed_telemetry.Telemetry
 module Resilience = Automed_resilience.Resilience
-module Analysis = Automed_analysis.Analysis
 module Reachability = Automed_analysis.Reachability
-module Rewrite = Automed_analysis.Rewrite
-module Equiv = Automed_analysis.Equiv
 module Lineage = Automed_provenance.Lineage
 module Peval = Automed_provenance.Peval
 module SS = Set.Make (String)
@@ -67,30 +64,16 @@ module EH = Hashtbl.Make (EK)
    partial answer. *)
 type frame = { mutable srcs : SS.t; mutable tainted : bool }
 
-(* Static analysis of one stored pathway, computed once and reused for
-   every replay: the certified simplification and the set of target
-   objects with a provably non-empty derivation.  The surviving-step
-   indices and certificate id feed lineage annotations, so an answer
-   tuple can say exactly which pathway steps its derivation crossed and
-   under which equivalence audit. *)
-type pathway_info = {
-  simplified : Transform.pathway;
-      (* the original when simplification is off, refused, or a no-op *)
-  live : Scheme.Set.t option; (* None: unknown, never prune *)
-  surviving : int list;
-      (* 1-based indices of original steps kept verbatim by the rewrite *)
-  cert : string option; (* audit-certificate id of the applied rewrite *)
-}
-
 type t = {
   repo : Repository.t;
   resilience : Resilience.t option;
-  simplify : bool;
+  prune : bool;
   cache : (Value.Bag.t * SS.t) EH.t;
       (* cached bag plus the sources whose data it incorporates *)
   pcache : (Peval.entry list * Lineage.t * SS.t) EH.t;
       (* the annotated twin of [cache], for provenance runs *)
-  pinfo : (Transform.pathway, pathway_info) Hashtbl.t;
+  pinfo : (Transform.pathway, Scheme.Set.t option) Hashtbl.t;
+      (* reachability live set per stored pathway; None: never prune *)
   mutable visiting : string list; (* schemas on the derivation stack *)
   mutable degraded : bool; (* soften source failures into skips *)
   mutable frames : frame list; (* innermost first *)
@@ -100,11 +83,11 @@ type t = {
 
 and skip_kind = Skip_faulty | Skip_evolved
 
-let create ?resilience ?(simplify = true) repo =
+let create ?resilience ?(prune = true) repo =
   {
     repo;
     resilience;
-    simplify;
+    prune;
     cache = EH.create 64;
     pcache = EH.create 64;
     pinfo = Hashtbl.create 16;
@@ -116,7 +99,6 @@ let create ?resilience ?(simplify = true) repo =
 
 let repository t = t.repo
 let resilience t = t.resilience
-let simplify_enabled t = t.simplify
 
 let cache_stats t =
   (EH.length t.cache, EH.length t.pcache, Hashtbl.length t.pinfo)
@@ -130,12 +112,11 @@ let invalidate t =
 
 (* Targeted churn invalidation: exactly the entries tainted by [source]
    are dropped from all three caches — extent bags and provenance twins
-   whose contributing-source sets cite it, and pathway-info records of
-   pathways that start or end at it (an evolution alters the source's
-   shape or replaces those pathways, so their simplification, live set
-   and certificate are stale).  Entries of untouched sources survive;
-   the emitted counters let tests pin both directions (no stale hits,
-   no over-invalidation). *)
+   whose contributing-source sets cite it, and the live sets of pathways
+   that start or end at it (an evolution alters the source's shape or
+   replaces those pathways, so their live sets are stale).
+   Entries of untouched sources survive; the emitted counters let tests
+   pin both directions (no stale hits, no over-invalidation). *)
 let invalidate_source t source =
   let doomed =
     EH.fold
@@ -254,81 +235,26 @@ let defs_of_pathway repo (p : Transform.pathway) : Ast.expr Scheme.Map.t =
             | None -> err "id of unknown object %s" (Scheme.to_string a)))
     init p.steps
 
-let prim_equal (a : Transform.prim) (b : Transform.prim) =
-  match (a, b) with
-  | Add (o1, q1), Add (o2, q2) | Delete (o1, q1), Delete (o2, q2) ->
-      Scheme.equal o1 o2 && Ast.equal q1 q2
-  | Extend (o1, l1, u1), Extend (o2, l2, u2)
-  | Contract (o1, l1, u1), Contract (o2, l2, u2) ->
-      Scheme.equal o1 o2 && Ast.equal l1 l2 && Ast.equal u1 u2
-  | Rename (a1, b1), Rename (a2, b2) | Id (a1, b1), Id (a2, b2) ->
-      Scheme.equal a1 a2 && Scheme.equal b1 b2
-  | _ -> false
-
-(* Which original steps survive verbatim in the simplified pathway
-   (greedy in-order matching — sound because the rewrite rules only drop
-   or locally replace steps, never reorder them).  1-based, matching the
-   linter's step indices. *)
-let surviving_indices ~original ~simplified =
-  let rec go i orig simp acc =
-    match (orig, simp) with
-    | _, [] | [], _ -> List.rev acc
-    | o :: os, s :: ss ->
-        if prim_equal o s then go (i + 1) os ss (i :: acc)
-        else go (i + 1) os (s :: ss) acc
-  in
-  go 1 original simplified []
-
-let all_indices steps = List.mapi (fun i _ -> i + 1) steps
-
-let cert_id (c : Equiv.certificate) =
-  Printf.sprintf "eq-%do-%dt%s" c.Equiv.objects c.Equiv.trials
-    (if c.Equiv.reverse_checked then "-r" else "")
-
-(* The proof-checked fast path.  Each stored pathway is analysed once:
-   the rewrite engine's simplification is used only when the independent
-   equivalence checker certifies it (a refusal falls back to the
-   original and is counted), and the reachability pass yields the live
-   set that lets replays be skipped entirely for objects whose
-   derivation is provably empty — sound because the empty bag is the
-   identity of the bag union that combines contributions. *)
-let pathway_info t (p : Transform.pathway) =
-  match Hashtbl.find_opt t.pinfo p with
-  | Some info -> info
-  | None ->
-      let unchanged =
-        { simplified = p; live = None; surviving = all_indices p.steps;
-          cert = None }
-      in
-      let info =
-        if not t.simplify then unchanged
-        else
+(* The reachability fast path.  Each stored pathway is analysed once:
+   its live set lets replays be skipped entirely for objects whose
+   derivation through it is provably empty — sound because the empty bag
+   is the identity of the bag union that combines contributions.  Replays
+   always use the stored pathway itself; certified rewriting is an
+   offline tool ([lint --fix], [Maintain.compact]) whose result is
+   journaled once and then simply replayed. *)
+let live_set t (p : Transform.pathway) =
+  if not t.prune then None
+  else
+    match Hashtbl.find_opt t.pinfo p with
+    | Some live -> live
+    | None ->
+        let live =
           match Repository.schema t.repo p.from_schema with
-          | None -> unchanged
-          | Some src ->
-              let simplified, surviving, cert =
-                match Analysis.simplify_certified src p with
-                | `Unchanged | `Refused _ ->
-                    (p, all_indices p.steps, None)
-                | `Simplified (o, cert) ->
-                    (if Telemetry.active () then
-                       let removed =
-                         List.length p.steps
-                         - List.length o.Rewrite.pathway.Transform.steps
-                       in
-                       Telemetry.count ~by:removed
-                         "processor.pathway_steps_simplified_away");
-                    ( o.Rewrite.pathway,
-                      surviving_indices ~original:p.steps
-                        ~simplified:o.Rewrite.pathway.Transform.steps,
-                      Some (cert_id cert) )
-              in
-              { simplified;
-                live = Reachability.live_objects ~source:src p;
-                surviving; cert }
-      in
-      Hashtbl.replace t.pinfo p info;
-      info
+          | None -> None
+          | Some src -> Reachability.live_objects ~source:src p
+        in
+        Hashtbl.replace t.pinfo p live;
+        live
 
 let rec extent_exn t ~schema o =
   match EH.find_opt t.cache (schema, o) with
@@ -438,13 +364,12 @@ and compute_extent t ~schema o =
            must account for the support the answer can no longer have *)
         if t.degraded && Repository.retired t.repo p.from_schema then
           note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
-        let info = pathway_info t p in
-        match info.live with
+        match live_set t p with
         | Some live when not (Scheme.Set.mem o live) ->
             Telemetry.count "processor.pathways_pruned";
             None
         | _ -> (
-            let defs = defs_of_pathway t.repo info.simplified in
+            let defs = defs_of_pathway t.repo p in
             match Scheme.Map.find_opt o defs with
             | None -> None
             | Some e -> Some (eval_over t ~schema:p.from_schema e)))
@@ -470,12 +395,10 @@ let extent_of t ~schema o =
 
 (* -- provenance-annotated extents ---------------------------------------- *)
 
-let hop_of (p : Transform.pathway) info =
+let hop_of (p : Transform.pathway) =
   {
     Lineage.pathway = p.from_schema ^ "->" ^ p.to_schema;
     steps = List.length p.steps;
-    surviving = info.surviving;
-    cert = info.cert;
   }
 
 (* The annotated twin of [extent_exn]/[compute_extent]/[eval_over]: the
@@ -541,15 +464,14 @@ and compute_extent_av t ~schema o =
         in
         if evolved_from then
           note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
-        let info = pathway_info t p in
-        match info.live with
+        match live_set t p with
         | Some live when not (Scheme.Set.mem o live) ->
             Telemetry.count "processor.pathways_pruned";
             if evolved_from then
               Some ([], Lineage.skip_evolved p.from_schema)
             else None
         | _ -> (
-            let defs = defs_of_pathway t.repo info.simplified in
+            let defs = defs_of_pathway t.repo p in
             match Scheme.Map.find_opt o defs with
             | None ->
                 if evolved_from then
@@ -562,7 +484,7 @@ and compute_extent_av t ~schema o =
                     Lineage.union amb (Lineage.skip_evolved p.from_schema)
                   else amb
                 in
-                let hop = hop_of p info in
+                let hop = hop_of p in
                 Some
                   ( List.map
                       (fun (en : Peval.entry) ->
@@ -840,13 +762,12 @@ and unfold_scheme t ~schema o =
     match
       List.filter_map
         (fun (p : Transform.pathway) ->
-          let info = pathway_info t p in
-          match info.live with
+          match live_set t p with
           | Some live when not (Scheme.Set.mem o live) ->
               Telemetry.count "processor.pathways_pruned";
               None
           | _ -> (
-              let defs = defs_of_pathway t.repo info.simplified in
+              let defs = defs_of_pathway t.repo p in
               match Scheme.Map.find_opt o defs with
               | None -> None
               | Some e -> Some (unfold_expr t ~schema:p.from_schema e)))
@@ -884,9 +805,6 @@ type cache_state = Cache_hit | Cache_cold
 type explain_pathway = {
   ep_from : string;
   ep_steps : int;
-  ep_simplified_steps : int;
-  ep_surviving : int list;
-  ep_cert : string option;
   ep_decision : explain_decision;
 }
 
@@ -921,19 +839,11 @@ let rec explain_object t ~schema o =
     match
       List.map
         (fun (p : Transform.pathway) ->
-          let info = pathway_info t p in
           let base =
-            {
-              ep_from = p.from_schema;
-              ep_steps = List.length p.steps;
-              ep_simplified_steps =
-                List.length info.simplified.Transform.steps;
-              ep_surviving = info.surviving;
-              ep_cert = info.cert;
-              ep_decision = Pruned "";
-            }
+            { ep_from = p.from_schema; ep_steps = List.length p.steps;
+              ep_decision = Pruned "" }
           in
-          match info.live with
+          match live_set t p with
           | Some live when not (Scheme.Set.mem o live) ->
               { base with
                 ep_decision =
@@ -942,7 +852,7 @@ let rec explain_object t ~schema o =
                      pathway's definition of the object, so its \
                      contribution is provably the empty bag" }
           | _ -> (
-              let defs = defs_of_pathway t.repo info.simplified in
+              let defs = defs_of_pathway t.repo p in
               match Scheme.Map.find_opt o defs with
               | None ->
                   { base with
@@ -1008,16 +918,7 @@ let pp_explain_node ppf node =
       | Cache_cold -> "");
     List.iter
       (fun e ->
-        Fmt.pf ppf "@\n%s  <- %s [%d->%d steps%s%s] " indent e.ep_from
-          e.ep_steps e.ep_simplified_steps
-          (if e.ep_simplified_steps < e.ep_steps then
-             match e.ep_surviving with
-             | [] -> ", no step survives verbatim"
-             | ss ->
-                 Fmt.str ", surviving %s"
-                   (String.concat "," (List.map string_of_int ss))
-           else "")
-          (match e.ep_cert with Some c -> ", cert " ^ c | None -> "");
+        Fmt.pf ppf "@\n%s  <- %s [%d steps] " indent e.ep_from e.ep_steps;
         match e.ep_decision with
         | Pruned reason -> Fmt.pf ppf "PRUNED: %s" reason
         | No_definition reason -> Fmt.pf ppf "NO DEFINITION: %s" reason
@@ -1062,10 +963,6 @@ let translate t ~from_schema ~to_schema q =
     match Repository.find_path t.repo ~src:to_schema ~dst:from_schema with
     | Error e -> err "%s" e
     | Ok pathway ->
-        (* composed pathways concatenate steps across every hop, so the
-           rename chains and dead pairs the rewrite engine collapses
-           mostly arise here, at the composition seams *)
-        let pathway = (pathway_info t pathway).simplified in
         let defs = defs_of_pathway t.repo pathway in
         Ast.subst_schemes
           (fun o ->

@@ -25,12 +25,10 @@
       shadow interpreter ({!Automed_provenance.Peval}), returning the
       bit-identical answer plus, per answer tuple, the
       {!Automed_provenance.Lineage.t} citing the stored extents,
-      pathway hops, audit certificates and telemetry spans the tuple
-      was derived from;
+      pathway hops and telemetry spans the tuple was derived from;
     - {!explain_plan} renders the plan story without running the query:
       per source the reformulation tree, each reachability-pruning or
-      no-definition decision with its reason, simplification
-      certificates, and cache state. *)
+      no-definition decision with its reason, and cache state. *)
 
 module Scheme = Automed_base.Scheme
 module Ast = Automed_iql.Ast
@@ -43,28 +41,25 @@ module Peval = Automed_provenance.Peval
 type t
 (** A processor wraps a repository with an extent cache. *)
 
-val create : ?resilience:Resilience.t -> ?simplify:bool -> Repository.t -> t
+val create : ?resilience:Resilience.t -> ?prune:bool -> Repository.t -> t
 (** With [resilience], every stored-extent fetch of a source registered
     in that registry goes through {!Resilience.call} (retries, timeout,
     circuit breaker).  A fetch that exhausts its policy fails the query
     in {!run} and becomes a recorded skip in {!run_degraded}.
 
-    With [simplify] (the default), every pathway is statically analysed
-    once before its first replay: the
-    {!Automed_analysis.Rewrite} engine's simplification is applied when
-    — and only when — the independent {!Automed_analysis.Equiv} checker
-    certifies it equivalent, and the
-    {!Automed_analysis.Reachability} live-set lets the processor skip
-    replaying a pathway entirely for objects whose derivation through it
-    is provably empty.  Answers are bit-identical either way;
-    [simplify:false] is the naive replay (the CLI's [--no-simplify]). *)
+    With [prune] (the default), every pathway is analysed once before
+    its first replay: its {!Automed_analysis.Reachability} live set lets
+    the processor skip replaying the pathway entirely for objects whose
+    derivation through it is provably empty.  Replays always use the
+    stored pathway itself — certified rewriting
+    ({!Automed_analysis.Analysis.simplify_certified}) is an offline tool
+    behind [lint --fix] and [Maintain.compact], whose
+    result is journaled once and then simply replayed.  Answers are
+    bit-identical either way; [prune:false] is the naive replay, the
+    reference the tests and the E-S1 experiment compare against. *)
 
 val repository : t -> Repository.t
 val resilience : t -> Resilience.t option
-
-val simplify_enabled : t -> bool
-(** Whether the static-analysis fast path (certified simplification and
-    reachability pruning) is on. *)
 
 val cache_stats : t -> int * int * int
 (** Live entries in the three caches — plain extents, provenance twins,
@@ -77,8 +72,8 @@ val invalidate : t -> unit
 val invalidate_source : t -> string -> unit
 (** Drops every cache entry that incorporates data from the given source
     schema (directly or through derivation) — extent bags, provenance
-    twins, and the memoised analysis (simplification, live set,
-    certificate) of pathways that start or end at the source — so a
+    twins, and the memoised live sets of pathways that start or end at
+    the source — so a
     recovered, refreshed or {e evolved} source is re-analysed and
     re-fetched on the next query, while entries of untouched sources
     stay cached.  Partial bags computed while a source was skipped are
@@ -245,12 +240,7 @@ type cache_state = Cache_hit | Cache_cold
 
 type explain_pathway = {
   ep_from : string;  (** the pathway's source schema *)
-  ep_steps : int;  (** stored (unsimplified) step count *)
-  ep_simplified_steps : int;  (** steps actually replayed *)
-  ep_surviving : int list;
-      (** 1-based original-step indices kept verbatim by the certified
-          simplification (all of them when nothing was simplified) *)
-  ep_cert : string option;  (** audit-certificate id, when simplified *)
+  ep_steps : int;  (** stored step count, all replayed when applied *)
   ep_decision : explain_decision;
 }
 

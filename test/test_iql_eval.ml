@@ -308,6 +308,8 @@ let join_queries =
     (* single key, both orientations *)
     "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = k]";
     "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; k = j]";
+    (* nested head tuples, shared while the inner generator runs *)
+    "[{{k, x}, {j, y}} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = k]";
     (* composite keys: a tuple key, and a run of two key filters *)
     "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; {j, y} = {k, x}]";
     "[{x, y} | {k, x} <- <<a>>; {j, y} <- <<b>>; j = k; y = x]";
@@ -432,6 +434,35 @@ let test_join_uses_index () =
   in
   Alcotest.(check int) "single probe scans" 0 builds
 
+(* A head tuple built from an outer generator's variables alone is one
+   value for all of that binding's answers, not a copy per answer. *)
+let test_head_tuples_shared () =
+  let side n =
+    Value.Bag.of_list
+      (List.init n (fun i -> Value.tuple2 (v_int i) (v_str (string_of_int i))))
+  in
+  let plain, naive =
+    outcomes (side 3, side 4) "[{{k, x}, y} | {k, x} <- <<a>>; {j, y} <- <<b>>]"
+  in
+  Alcotest.(check bool) "reference answer" true (same_outcome plain naive);
+  match plain with
+  | Ok (Value.Bag b) ->
+      Alcotest.(check int) "12 answers" 12 (Value.Bag.cardinal b);
+      let outer = function
+        | Value.Tuple [ o; _ ], _ -> o
+        | v, _ -> Alcotest.failf "unexpected %s" (Value.to_string v)
+      in
+      List.iter
+        (fun e ->
+          List.iter
+            (fun e' ->
+              let o = outer e and o' = outer e' in
+              if Value.equal o o' && o != o' then
+                Alcotest.failf "%s is not shared" (Value.to_string o))
+            b)
+        b
+  | r -> Alcotest.failf "unexpected %s" (show_outcome r)
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -459,4 +490,6 @@ let suite =
     Alcotest.test_case "join index cuts eval nodes 10x" `Quick
       test_join_uses_index;
     QCheck_alcotest.to_alcotest qcheck_join_matches_nested_loop;
+    Alcotest.test_case "head tuples shared across bindings" `Quick
+      test_head_tuples_shared;
   ]

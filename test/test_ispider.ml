@@ -339,28 +339,59 @@ let test_effort_comparison () =
   Alcotest.(check int) "factor > 3" 3
     (crun.Classical_run.total_manual / irun.Intersection_run.total_manual)
 
-(* The seven case-study queries must be bit-identical with the static
-   simplification/pruning pipeline on (the default, used by
-   [intersection_env]) and off: certified rewrites and reachability
-   pruning change how much work the processor does, never the answer. *)
-let test_simplify_bit_identical () =
-  let ds = Lazy.force dataset in
-  let naive_repo = Repository.create () in
-  ok (Sources.wrap_all naive_repo ds);
-  let naive = ok (Intersection_run.execute ~simplify:false naive_repo) in
-  let _, _, run = Lazy.force intersection_env in
+(* The seven case-study queries must be bit-identical with reachability
+   pruning on (the default) and off (the naive replay of every stored
+   pathway), and both must equal the ground truth: pruning changes how
+   much work the processor does, never the answer. *)
+let test_prune_bit_identical () =
+  let ds, repo, run = Lazy.force intersection_env in
+  let global = Workflow.global_name run.Intersection_run.workflow in
+  let pruned = Processor.create repo in
+  let naive = Processor.create ~prune:false repo in
   List.iter
     (fun (q : Queries.query) ->
-      let answer (r : Intersection_run.run) =
-        match Workflow.run_query r.Intersection_run.workflow q.Queries.global_text with
+      let answer proc =
+        match Processor.run_string proc ~schema:global q.Queries.global_text with
         | Ok v -> v
-        | Error e -> Alcotest.fail (Fmt.str "%a" Processor.pp_error e)
+        | Error e ->
+            Alcotest.failf "query %d: %a" q.Queries.number Processor.pp_error e
       in
+      let p = answer pruned in
       Alcotest.(check bool)
         (Printf.sprintf "query %d bit-identical" q.Queries.number)
         true
-        (Value.equal (answer naive) (answer run)))
+        (Value.equal p (answer naive));
+      Alcotest.(check bool)
+        (Printf.sprintf "query %d matches ground truth" q.Queries.number)
+        true
+        (Value.equal p (Value.Bag (q.Queries.ground_truth ds))))
     Queries.all
+
+(* The query path runs no certified rewriting: a fresh processor
+   answers the seven queries without a single [analysis.*] counter, and
+   reachability still prunes the 67 pathway contributions E-S1 reports. *)
+let test_query_path_runs_no_rewriting () =
+  let module Telemetry = Automed_telemetry.Telemetry in
+  let _, repo, run = Lazy.force intersection_env in
+  let global = Workflow.global_name run.Intersection_run.workflow in
+  let proc = Processor.create repo in
+  let mem = Telemetry.Memory.create () in
+  Telemetry.with_sink (Telemetry.Memory.sink mem) (fun () ->
+      List.iter
+        (fun (q : Queries.query) ->
+          match Processor.run_string proc ~schema:global q.Queries.global_text with
+          | Ok _ -> ()
+          | Error e ->
+              Alcotest.failf "query %d: %a" q.Queries.number Processor.pp_error e)
+        Queries.all);
+  let analysis =
+    List.filter
+      (fun (name, n) -> n <> 0 && String.starts_with ~prefix:"analysis." name)
+      (Telemetry.Memory.counters mem)
+  in
+  Alcotest.(check (list (pair string int))) "no analysis.* counters" [] analysis;
+  Alcotest.(check int) "pathways pruned" 67
+    (Telemetry.Memory.counter mem "processor.pathways_pruned")
 
 (* Equi-join indexing changes how many IQL nodes are evaluated, never
    which extents are read: on a fresh processor the seven queries hit,
@@ -418,8 +449,10 @@ let suite =
       test_classical_queries_match_ground_truth;
     Alcotest.test_case "all schemas HDM-valid" `Quick test_all_schemas_hdm_valid;
     Alcotest.test_case "26 vs 95 comparison" `Quick test_effort_comparison;
-    Alcotest.test_case "simplify on/off bit-identical" `Quick
-      test_simplify_bit_identical;
+    Alcotest.test_case "prune on/off bit-identical to truth" `Quick
+      test_prune_bit_identical;
+    Alcotest.test_case "query path runs no rewriting" `Quick
+      test_query_path_runs_no_rewriting;
     Alcotest.test_case "extent traffic unchanged by join indexing" `Quick
       test_queries_extent_traffic;
   ]

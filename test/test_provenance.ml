@@ -75,10 +75,7 @@ let test_lineage_semilattice () =
     (Lineage.equal (Lineage.only_skips sk) (Lineage.skip "down"))
 
 let test_lineage_json_and_mac () =
-  let hop =
-    { Lineage.pathway = "a->b"; steps = 3; surviving = [ 1; 3 ];
-      cert = Some "eq-2o-8t" }
-  in
+  let hop = { Lineage.pathway = "a->b"; steps = 3 } in
   let l = Lineage.add_hop hop (Lineage.add_span 7 (atom "s1" t_obj)) in
   let json = Lineage.to_json l in
   (match Microjson.parse json with
@@ -103,7 +100,12 @@ let test_lineage_json_and_mac () =
     (Lineage.verify ~key:"k" v forged mac);
   let dropped_hop = atom ~span:7 "s1" t_obj in
   Alcotest.(check bool) "dropped hop" false
-    (Lineage.verify ~key:"k" v dropped_hop mac)
+    (Lineage.verify ~key:"k" v dropped_hop mac);
+  let altered_hop =
+    Lineage.add_hop { hop with steps = 2 } (atom ~span:7 "s1" t_obj)
+  in
+  Alcotest.(check bool) "altered hop" false
+    (Lineage.verify ~key:"k" v altered_hop mac)
 
 (* -- annotated evaluation mirrors the reference evaluator ----------------- *)
 
