@@ -14,21 +14,30 @@ type t = {
   repo : Repository.t;
   vfs : Vfs.t;
   mutable appended : int;
+  mutable journal_size : int option;
+      (* the journal file's length, kept in step with every write this
+         handle makes; [None] after a write that failed part-way, until
+         the store is read again *)
 }
 
 let repository t = t.repo
 let vfs t = t.vfs
 let appended t = t.appended
 
+let stored_journal_bytes (vfs : Vfs.t) =
+  if not (vfs.exists journal_file) then Some 0
+  else Result.to_option (Result.map String.length (vfs.read journal_file))
+
 (* Bytes accumulated in the journal since the last checkpoint — the
-   repair-debt input of the health observatory.  Read from the store
-   rather than tracked in memory so it is also right after [recover]. *)
+   repair-debt input of the health observatory, asked for on every
+   maintenance tick.  Tracked in memory, so answering costs nothing; the
+   store is read only when a failed write left the length unknown. *)
 let journal_bytes t =
-  if not (t.vfs.exists journal_file) then 0
-  else
-    match Journal.read t.vfs ~file:journal_file with
-    | Ok scan -> scan.Journal.total_bytes
-    | Error _ -> 0
+  match t.journal_size with
+  | Some n -> n
+  | None ->
+      t.journal_size <- stored_journal_bytes t.vfs;
+      Option.value t.journal_size ~default:0
 
 (* -- checkpoint format --------------------------------------------------- *)
 
@@ -69,8 +78,14 @@ let parse_checkpoint contents =
 
 let observer t op =
   let payload = Serialize.save_op op in
+  let before = t.journal_size in
+  t.journal_size <- None;
   match Journal.append t.vfs ~file:journal_file payload with
   | Ok () ->
+      t.journal_size <-
+        Option.map
+          (fun n -> n + Journal.header_bytes + String.length payload)
+          before;
       t.appended <- t.appended + 1;
       Telemetry.count "durable.append"
   | Error e ->
@@ -87,7 +102,9 @@ let snapshot t =
   let* () = t.vfs.sync checkpoint_tmp in
   let* () = t.vfs.rename ~old_name:checkpoint_tmp ~new_name:checkpoint_file in
   (* the checkpoint is committed; the journal is now redundant *)
+  t.journal_size <- None;
   let* () = t.vfs.write journal_file "" in
+  t.journal_size <- Some 0;
   let* () = t.vfs.sync journal_file in
   t.appended <- 0;
   Telemetry.count "durable.snapshot";
@@ -100,7 +117,9 @@ let attach vfs repo =
   if Repository.observed repo then
     Error "repository already has an observer (attached twice?)"
   else begin
-    let t = { repo; vfs; appended = 0 } in
+    let t =
+      { repo; vfs; appended = 0; journal_size = stored_journal_bytes vfs }
+    in
     install t;
     if (not (vfs.exists checkpoint_file)) && Repository.schemas repo <> []
     then
@@ -178,7 +197,14 @@ let recover vfs =
         let* () = Journal.truncate vfs ~file:journal_file ~keep in
         Ok (scan.total_bytes - keep)
   in
-  let t = { repo; vfs; appended = replayed } in
+  let t =
+    {
+      repo;
+      vfs;
+      appended = replayed;
+      journal_size = Some (scan.total_bytes - truncated_bytes);
+    }
+  in
   install t;
   Ok
     ( t,

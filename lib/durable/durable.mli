@@ -34,11 +34,15 @@ val appended : t -> int
 (** Journal records appended through this handle (resets on snapshot). *)
 
 val journal_bytes : t -> int
-(** Bytes sitting in the journal since the last checkpoint, read from
-    the store itself (so it is also right after {!recover}); 0 when the
-    journal is absent or unreadable.  One of the repair-debt indicators
-    of the health observatory: growth here is replay work the next
-    recovery must pay until a {!snapshot} retires it. *)
+(** Bytes sitting in the journal since the last checkpoint: the length
+    of [journal.wal].  Kept in memory in O(1) — seeded by {!attach} and
+    {!recover} from the journal they find (after any truncation), grown
+    by each append's frame, reset to 0 by {!snapshot} — so the store is
+    not read to answer.  Only after a journal write that failed part-way
+    is the file read back once; 0 while it is unreadable.  One of the
+    repair-debt indicators of the health observatory: growth here is
+    replay work the next recovery must pay until a {!snapshot} retires
+    it. *)
 
 val attach :
   Vfs.t -> Automed_repository.Repository.t -> (t, string) result

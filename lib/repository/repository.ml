@@ -130,15 +130,18 @@ let rename_schema t name new_name =
         Ok ()
       end
 
+(* Every admission path: one checked fold derives the pathway's target
+   schema, then the installed validator, if any, has its say. *)
+let admit t src p =
+  let* derived = Transform.apply_checked src p in
+  let* () = match t.validator with None -> Ok () | Some f -> f src p in
+  Ok derived
+
 let add_pathway t (p : Transform.pathway) =
   match schema t p.from_schema with
   | None -> err "pathway source schema %s is not registered" p.from_schema
   | Some src ->
-      let* () = Transform.well_formed src p in
-      let* () =
-        match t.validator with None -> Ok () | Some f -> f src p
-      in
-      let* derived = Transform.apply src p in
+      let* derived = admit t src p in
       let* () =
         match schema t p.to_schema with
         | None ->
@@ -174,11 +177,7 @@ let add_contribution t (p : Transform.pathway) =
       | None ->
           err "contribution target schema %s is not registered" p.to_schema
       | Some target ->
-          let* () = Transform.well_formed src p in
-          let* () =
-            match t.validator with None -> Ok () | Some f -> f src p
-          in
-          let* derived = Transform.apply src p in
+          let* derived = admit t src p in
           let stray =
             List.filter
               (fun o -> not (Schema.mem o target))
@@ -212,11 +211,7 @@ let replace_pathway t ~old:(p_old : Transform.pathway) (p_new : Transform.pathwa
     match schema t p_new.from_schema with
     | None -> err "pathway source schema %s is not registered" p_new.from_schema
     | Some src ->
-        let* () = Transform.well_formed src p_new in
-        let* () =
-          match t.validator with None -> Ok () | Some f -> f src p_new
-        in
-        let* derived = Transform.apply src p_new in
+        let* derived = admit t src p_new in
         let contribution = is_contribution t p_old in
         let* () =
           match schema t p_new.to_schema with
@@ -327,11 +322,7 @@ let compact_chain t ~retired:(p_ret : Transform.pathway)
       | None ->
           err "shortcut source schema %s is not registered" p_new.from_schema
       | Some src ->
-          let* () = Transform.well_formed src p_new in
-          let* () =
-            match t.validator with None -> Ok () | Some f -> f src p_new
-          in
-          let* derived = Transform.apply src p_new in
+          let* derived = admit t src p_new in
           if Schema.same_objects target derived then Ok ()
           else
             err
@@ -350,11 +341,7 @@ let compact_chain t ~retired:(p_ret : Transform.pathway)
             err "rerouted contribution source schema %s is not registered"
               r.from_schema
         | Some src ->
-            let* () = Transform.well_formed src r in
-            let* () =
-              match t.validator with None -> Ok () | Some f -> f src r
-            in
-            let* derived = Transform.apply src r in
+            let* derived = admit t src r in
             let stray =
               List.filter
                 (fun o -> not (Schema.mem o target))

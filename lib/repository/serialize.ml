@@ -185,12 +185,19 @@ let unquote s =
   if String.trim rest = "" then Ok name
   else err "trailing input after quoted name: %S" rest
 
+(* [sep] is compared in place at each offset: only the two halves of a
+   successful split are allocated. *)
 let split_on_first sep line =
   let ls = String.length sep in
   let n = String.length line in
+  let rec matches_at i k =
+    k = ls
+    || String.unsafe_get line (i + k) = String.unsafe_get sep k
+       && matches_at i (k + 1)
+  in
   let rec go i =
     if i + ls > n then None
-    else if String.sub line i ls = sep then
+    else if matches_at i 0 then
       Some (String.sub line 0 i, String.sub line (i + ls) (n - i - ls))
     else go (i + 1)
   in
@@ -263,6 +270,17 @@ let parse_extent_payload payload =
       in
       Ok (Value.Bag.of_list (List.rev values))
   | _ -> err "extent payload must be a bag literal"
+
+(* "extent" <quoted schema> <scheme> := <bag>.  The name is scanned
+   first: a quoted name may itself contain " := ". *)
+let parse_extent_line rest =
+  let* name, rest = scan_quoted rest in
+  match split_on_first " := " rest with
+  | None -> err "malformed extent line"
+  | Some (scheme_text, payload) ->
+      let* scheme = Scheme.of_string scheme_text in
+      let* bag = parse_extent_payload payload in
+      Ok (name, scheme, bag)
 
 let parse_alter_payload rest =
   let* name, rest = scan_quoted rest in
@@ -364,15 +382,14 @@ let load text =
           let* () = flush_schema st in
           let* name, alter = parse_alter_payload rest in
           Repository.alter_schema st.repo name alter
-      | None, Some ("extent", rest) -> (
+      | None, Some ("extent", rest) ->
           let* () = flush_schema st in
-          match split_on_first " := " rest with
-          | None -> err "line %d: malformed extent line" line_no
-          | Some (head, payload) ->
-              let* name, scheme_text = scan_quoted head in
-              let* scheme = Scheme.of_string scheme_text in
-              let* bag = parse_extent_payload payload in
-              Repository.set_extent st.repo ~schema:name scheme bag)
+          let* name, scheme, bag =
+            Result.map_error
+              (fun e -> Printf.sprintf "line %d: %s" line_no e)
+              (parse_extent_line rest)
+          in
+          Repository.set_extent st.repo ~schema:name scheme bag
       | None, _ -> err "line %d: unrecognised line %S" line_no line
   in
   let* () =
@@ -541,14 +558,9 @@ let load_op text =
                 (Repository.Op_replace_pathway
                    (pathway old_steps, pathway new_steps))
           | _ -> err "malformed replace record")
-      | Some ("extent", rest_line) when rest = [] -> (
-          match split_on_first " := " rest_line with
-          | None -> err "malformed extent record"
-          | Some (head, payload) ->
-              let* name, scheme_text = scan_quoted head in
-              let* scheme = Scheme.of_string scheme_text in
-              let* bag = parse_extent_payload payload in
-              Ok (Repository.Op_set_extent (name, scheme, bag)))
+      | Some ("extent", rest_line) when rest = [] ->
+          let* name, scheme, bag = parse_extent_line rest_line in
+          Ok (Repository.Op_set_extent (name, scheme, bag))
       | Some ("remove", rest_line) when rest = [] ->
           let* name = unquote rest_line in
           Ok (Repository.Op_remove_schema name)

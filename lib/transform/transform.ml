@@ -117,7 +117,10 @@ let fold_steps schema p f =
   in
   Ok final
 
-let apply schema p =
+(* The derived schema, in the span every replay of a pathway runs in.
+   [step] is [apply_prim], or [well_formed_prim] below, which also
+   checks each step's queries. *)
+let derive step schema p =
   Telemetry.with_span "transform.apply"
     ~attrs:(fun () ->
       [
@@ -125,8 +128,10 @@ let apply schema p =
         ("steps", string_of_int (List.length p.steps));
       ])
     (fun () ->
-      let* s = fold_steps schema p apply_prim in
+      let* s = fold_steps schema p step in
       Ok (Schema.rename p.to_schema s))
+
+let apply schema p = derive apply_prim schema p
 
 (* A query attached to a step may only mention objects present in the
    schema it is stated over: the pre-schema for add/extend, the
@@ -144,29 +149,28 @@ let check_query_refs side schema q =
             (List.map Scheme.to_string (Scheme.Set.elements missing)))
          side)
 
-let well_formed schema p =
-  let check_prim pre prim =
-    let* post = apply_prim pre prim in
-    let* () =
-      match prim with
-      | Add (_, q) | Extend (_, q, _) -> check_query_refs "pre" pre q
-      | Delete (_, q) | Contract (_, q, _) -> check_query_refs "post" post q
-      | Rename _ | Id _ -> Ok ()
-    in
-    let* () =
-      match prim with
-      | Extend (_, _, qu) | Contract (_, _, qu) -> (
-          match qu with
-          | Ast.Any -> Ok ()
-          | q -> check_query_refs "bound" (match prim with
-                   | Extend _ -> pre
-                   | _ -> post) q)
-      | _ -> Ok ()
-    in
-    Ok post
+let well_formed_prim pre prim =
+  let* post = apply_prim pre prim in
+  let* () =
+    match prim with
+    | Add (_, q) | Extend (_, q, _) -> check_query_refs "pre" pre q
+    | Delete (_, q) | Contract (_, q, _) -> check_query_refs "post" post q
+    | Rename _ | Id _ -> Ok ()
   in
-  let* _final = fold_steps schema p check_prim in
-  Ok ()
+  let* () =
+    match prim with
+    | Extend (_, _, qu) | Contract (_, _, qu) -> (
+        match qu with
+        | Ast.Any -> Ok ()
+        | q ->
+            check_query_refs "bound"
+              (match prim with Extend _ -> pre | _ -> post)
+              q)
+    | _ -> Ok ()
+  in
+  Ok post
+
+let apply_checked schema p = derive well_formed_prim schema p
 
 let ident s1 s2 =
   if not (Schema.same_objects s1 s2) then

@@ -70,16 +70,19 @@ val apply_prim : Schema.t -> prim -> (Schema.t, string) result
     that the object is present (it asserts cross-schema identity and has
     no structural effect).  Error messages are tagged with the step's verb
     and offending scheme, e.g. [add <<u>>: schema s already contains
-    <<u>>]; {!apply} and {!well_formed} additionally prefix the pathway
+    <<u>>]; {!apply} and {!apply_checked} additionally prefix the pathway
     endpoints and the 1-based step index, so runtime failures name the
     same locations as the static linter's diagnostics. *)
 
 val apply : Schema.t -> pathway -> (Schema.t, string) result
 (** Applies all steps in order; the result keeps the target schema name. *)
 
-val well_formed : Schema.t -> pathway -> (unit, string) result
-(** [apply] succeeds and every step's queries reference only objects
-    available in the schema on the appropriate side of the step. *)
+val apply_checked : Schema.t -> pathway -> (Schema.t, string) result
+(** {!apply} that also checks the pathway is well-formed: every step's
+    queries reference only objects available in the schema on the
+    appropriate side of the step.  One fold over the steps, in the same
+    [transform.apply] span; the repository admits every pathway through
+    this. *)
 
 val ident : Schema.t -> Schema.t -> (pathway, string) result
 (** Expands an [ident] between two syntactically identical schemas into a

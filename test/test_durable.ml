@@ -38,6 +38,46 @@ let test_crc_known_answer () =
   Alcotest.(check string) "incremental" "cbf43926"
     (Crc32.to_hex (Crc32.digest ~crc:half "6789"))
 
+(* The polynomial applied one bit at a time, straight from its
+   definition: no table, no shared code with Crc32. *)
+let crc_reference ?(crc = 0l) s =
+  let c = ref (Int32.lognot crc) in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 1 to 8 do
+        let low = Int32.logand !c 1l in
+        c := Int32.shift_right_logical !c 1;
+        if low <> 0l then c := Int32.logxor !c 0xEDB88320l
+      done)
+    s;
+  Int32.lognot !c
+
+let test_crc_matches_reference () =
+  let rng = Random.State.make [| 20141 |] in
+  for i = 1 to 300 do
+    let s =
+      String.init (Random.State.int rng 200) (fun _ ->
+          Char.chr (Random.State.int rng 256))
+    in
+    let name what = Printf.sprintf "string %d (%d bytes), %s" i (String.length s) what in
+    Alcotest.(check string) (name "one-shot")
+      (Crc32.to_hex (crc_reference s))
+      (Crc32.to_hex (Crc32.digest s));
+    (* chaining from an arbitrary running value, including ones with
+       the top bit set *)
+    let cut = Random.State.int rng (String.length s + 1) in
+    let a = String.sub s 0 cut and b = String.sub s cut (String.length s - cut) in
+    Alcotest.(check string) (name "chained")
+      (Crc32.to_hex (crc_reference s))
+      (Crc32.to_hex (Crc32.digest ~crc:(Crc32.digest a) b));
+    let seed = Random.State.int32 rng Int32.max_int in
+    let seed = if i mod 2 = 0 then Int32.lognot seed else seed in
+    Alcotest.(check string) (name "seeded")
+      (Crc32.to_hex (crc_reference ~crc:seed s))
+      (Crc32.to_hex (Crc32.digest ~crc:seed s))
+  done
+
 (* -- journal framing ------------------------------------------------------ *)
 
 let test_journal_roundtrip () =
@@ -314,6 +354,126 @@ let test_recovery_truncates_then_clean () =
   Alcotest.(check int) "journal truncated to boundary" off
     (String.length (ok (Vfs.(store.read) Durable.journal_file)))
 
+(* -- journal debt ---------------------------------------------------------- *)
+
+let stored_length vfs =
+  if Vfs.(vfs.exists) Durable.journal_file then
+    String.length (ok (Vfs.(vfs.read) Durable.journal_file))
+  else 0
+
+let check_debt what vfs d =
+  Alcotest.(check int) what (stored_length vfs) (Durable.journal_bytes d)
+
+let test_journal_bytes_tracks_store () =
+  (* appends, snapshot, more appends *)
+  let vfs = Vfs.memory () in
+  let repo = Repository.create () in
+  let d = ok (Durable.attach vfs repo) in
+  check_debt "fresh store" vfs d;
+  List.iteri
+    (fun i op ->
+      op ();
+      check_debt (Printf.sprintf "after op %d" i) vfs d;
+      if i = 4 then begin
+        ok (Durable.snapshot d);
+        Alcotest.(check int) "snapshot empties the journal" 0
+          (Durable.journal_bytes d);
+        check_debt "after snapshot" vfs d
+      end)
+    (scripted_ops repo);
+  (* attach to a store that already holds a journal *)
+  let _vfs, journal, _scan, _states = scripted_run () in
+  let store = Vfs.memory () in
+  ok (Vfs.(store.write) Durable.journal_file journal);
+  let d = ok (Durable.attach store (Repository.create ())) in
+  Alcotest.(check int) "attach counts the journal it finds"
+    (String.length journal) (Durable.journal_bytes d);
+  ok
+    (Repository.add_schema (Durable.repository d)
+       (ok (Schema.of_objects "late" [ (Scheme.table "l", None) ])));
+  check_debt "append after attach" store d
+
+let test_journal_bytes_after_crash_and_recover () =
+  let _vfs, _journal, scan, _states = scripted_run () in
+  List.iteri
+    (fun k (off, _) ->
+      let inner = Vfs.memory () in
+      let vfs, arm = Vfs.crashable inner in
+      let repo = Repository.create () in
+      let d = ok (Durable.attach vfs repo) in
+      arm (Some (off + 3));
+      (try List.iter (fun op -> op ()) (scripted_ops repo)
+       with Vfs.Crash _ -> ());
+      arm None;
+      (* the torn append left a length this handle cannot know *)
+      check_debt (Printf.sprintf "crashed handle %d" k) inner d;
+      Repository.set_observer repo None;
+      let d', report = ok (Durable.recover inner) in
+      Alcotest.(check bool) (Printf.sprintf "tail %d truncated" k) true
+        (report.Durable.truncated_bytes > 0);
+      Alcotest.(check int) (Printf.sprintf "recovered %d" k) off
+        (Durable.journal_bytes d');
+      check_debt (Printf.sprintf "recovered %d matches store" k) inner d')
+    scan.Journal.records
+
+(* -- extents of schemas whose names hold the extent separator ----------- *)
+
+let test_recover_name_with_separator () =
+  let vfs = Vfs.memory () in
+  let repo = Repository.create () in
+  let d = ok (Durable.attach vfs repo) in
+  let name = "a := b" in
+  ok
+    (Repository.add_schema repo
+       (ok (Schema.of_objects name [ (Scheme.table "t", None) ])));
+  ok
+    (Repository.set_extent repo ~schema:name (Scheme.table "t")
+       (Value.Bag.of_list [ Value.Str "x := y"; Value.Str "z" ]));
+  ok
+    (Repository.add_schema repo
+       (ok (Schema.of_objects "after" [ (Scheme.table "u", None) ])));
+  (* from the journal: no record, and none after it, is dropped *)
+  let d', report = ok (Durable.recover vfs) in
+  Alcotest.(check int) "all records replayed" 3 report.Durable.replayed;
+  Alcotest.(check (list string)) "no warnings" [] report.Durable.warnings;
+  Alcotest.(check string) "journal state" (save repo)
+    (save (Durable.repository d'));
+  Durable.detach d';
+  (* from a checkpoint holding the same extent *)
+  ok (Durable.snapshot d);
+  Durable.detach d;
+  let d', report = ok (Durable.recover vfs) in
+  Alcotest.(check bool) "checkpoint loaded" true report.Durable.checkpoint_loaded;
+  Alcotest.(check string) "checkpoint state" (save repo)
+    (save (Durable.repository d'))
+
+(* -- a store written by the version-1 codec ------------------------------ *)
+
+(* test/fixtures/v1_store holds a checkpoint and a 101-record journal
+   (integration, evolution, compaction, reclamation) written before the
+   record scanner, the CRC and the admission fold were rewritten, and
+   the state that store described when it was written.  Recovery must
+   still reproduce it byte for byte. *)
+let test_v1_store_recovers () =
+  (* from dune's test directory, or from the repository root *)
+  let dir =
+    if Sys.file_exists "fixtures" then "fixtures/v1_store"
+    else "test/fixtures/v1_store"
+  in
+  let read name =
+    In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
+  in
+  let store = Vfs.memory () in
+  ok (Vfs.(store.write) Durable.checkpoint_file (read "checkpoint.str"));
+  ok (Vfs.(store.write) Durable.journal_file (read "journal.wal"));
+  let d, report = ok (Durable.recover store) in
+  Alcotest.(check bool) "checkpoint loaded" true report.Durable.checkpoint_loaded;
+  Alcotest.(check int) "every record replayed" 101 report.Durable.replayed;
+  Alcotest.(check (list string)) "no warnings" [] report.Durable.warnings;
+  Alcotest.(check string) "state bit-identical" (read "expected.str")
+    (save (Durable.repository d));
+  check_debt "journal debt" store d
+
 (* -- checkpoints ---------------------------------------------------------- *)
 
 let scripted_store_with_checkpoint () =
@@ -525,6 +685,8 @@ let test_telemetry_counters () =
 let suite =
   [
     Alcotest.test_case "crc32 known answers" `Quick test_crc_known_answer;
+    Alcotest.test_case "crc32 matches bit-at-a-time reference" `Quick
+      test_crc_matches_reference;
     Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal missing file" `Quick test_journal_missing_file;
     Alcotest.test_case "journal torn and corrupt tails" `Quick
@@ -536,6 +698,14 @@ let suite =
       test_bit_flip_detected;
     Alcotest.test_case "recovery truncates torn tail" `Quick
       test_recovery_truncates_then_clean;
+    Alcotest.test_case "journal_bytes tracks the store" `Quick
+      test_journal_bytes_tracks_store;
+    Alcotest.test_case "journal_bytes after crash and recover" `Quick
+      test_journal_bytes_after_crash_and_recover;
+    Alcotest.test_case "recover extent of a name holding ' := '" `Quick
+      test_recover_name_with_separator;
+    Alcotest.test_case "version-1 store recovers bit-identically" `Quick
+      test_v1_store_recovers;
     Alcotest.test_case "snapshot then more ops" `Quick
       test_snapshot_then_more_ops;
     Alcotest.test_case "corrupt checkpoint is a hard error" `Quick

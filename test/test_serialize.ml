@@ -159,7 +159,8 @@ let test_ispider_roundtrip () =
    values containing single quotes and escapes, must survive the
    round-trip byte for byte. *)
 let hostile_names =
-  [ "plain"; "with \"quotes\""; "back\\slash"; "new\nline"; "cr\rlf"; "it's" ]
+  [ "plain"; "with \"quotes\""; "back\\slash"; "new\nline"; "cr\rlf"; "it's";
+    "a := b" ]
 
 let hostile_values =
   [ "plain"; "it's"; "two''quotes"; "back\\slash"; "multi\nline"; "tab\there";
@@ -202,7 +203,8 @@ let gen_name =
       (fun cs -> String.concat "" cs)
       (list_size (int_range 1 8)
          (oneofl
-            [ "a"; "b"; "z9"; "_"; "\""; "\\"; "\n"; "'"; " "; "-" ])))
+            [ "a"; "b"; "z9"; "_"; "\""; "\\"; "\n"; "'"; " "; "-"; ":"; "=";
+              " := " ])))
 
 let gen_value =
   QCheck.Gen.(

@@ -118,21 +118,21 @@ let test_well_formed () =
   let s = base_schema () in
   ignore
     (ok
-       (Transform.well_formed s
+       (Transform.apply_checked s
           (pathway [ Transform.Add (Scheme.table "u", q "[k | k <- <<t>>]") ])));
   (* add query referencing a missing object *)
   err
-    (Transform.well_formed s
+    (Transform.apply_checked s
        (pathway [ Transform.Add (Scheme.table "u", q "[k | k <- <<ghost>>]") ]));
   (* delete query must be over the post-schema: referencing the deleted
      object itself is an error *)
   err
-    (Transform.well_formed s
+    (Transform.apply_checked s
        (pathway [ Transform.Delete (Scheme.table "t", q "<<t>>") ]));
   (* ...but referencing the remaining objects is fine *)
   ignore
     (ok
-       (Transform.well_formed s
+       (Transform.apply_checked s
           (pathway
              [
                Transform.Add (Scheme.table "u", q "<<t>>");
