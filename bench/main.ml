@@ -660,9 +660,12 @@ let write_resilience_snapshot path outcomes =
    executed with a durable handle attached to an in-memory store, the
    resulting journal's payloads are re-appended in a tight loop for the
    throughput number, and recovery is timed at growing journal prefixes
-   (no checkpoint, so every record replays).  After full recovery the
+   (no checkpoint, so every record replays) as the median of
+   [recover_runs] recoveries.  After full recovery the
    seven priority queries run against the recovered repository and are
    checked against ground truth. *)
+
+let recover_runs = 31
 
 type recover_point = {
   rp_records : int;
@@ -734,11 +737,24 @@ let durability_outcome () =
       (fun frac ->
         let keep = journaled_ops * frac / 8 in
         let store, bytes = prefix_store keep in
-        let t0 = Telemetry.wall_clock () in
-        let d, report = ok (Durable.recover store) in
-        let ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-        ignore (Durable.repository d);
-        assert (report.Durable.replayed = keep);
+        let recover_ms () =
+          let t0 = Telemetry.wall_clock () in
+          let d, report = ok (Durable.recover store) in
+          let ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
+          ignore (Durable.repository d);
+          assert (report.Durable.replayed = keep);
+          ms
+        in
+        (* one recovery is noise at the small prefixes: report the median;
+           the repeats are probed into the null sink so that E-D1's
+           counters still describe one recovery per prefix *)
+        let first = recover_ms () in
+        let runs =
+          first
+          :: Telemetry.with_sink Telemetry.null_sink (fun () ->
+                 List.init (recover_runs - 1) (fun _ -> recover_ms ()))
+        in
+        let ms = List.nth (List.sort Float.compare runs) (recover_runs / 2) in
         { rp_records = keep; rp_bytes = bytes; rp_ms = ms })
       [ 1; 2; 4; 8 ]
   in
@@ -778,7 +794,8 @@ let experiment_durability o =
     o.journaled_ops o.journal_bytes o.integrate_ms o.baseline_integrate_ms;
   Printf.printf "  raw append throughput: %.0f ops/s, %.1f MiB/s\n"
     o.append_ops_per_sec o.append_mb_per_sec;
-  Printf.printf "  recovery replay time vs journal length:\n";
+  Printf.printf "  recovery replay time vs journal length (median of %d):\n"
+    recover_runs;
   List.iter
     (fun p ->
       Printf.printf "  %6d records %10d bytes %10.2f ms\n" p.rp_records

@@ -38,23 +38,51 @@ let pp ppf s =
 
 let to_string s = Fmt.to_to_string pp s
 
+(* [String.trim]'s whitespace *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec skip_space str i stop =
+  if i < stop && is_space str.[i] then skip_space str (i + 1) stop else i
+
+let rec skip_space_back str start j =
+  if j > start && is_space str.[j - 1] then skip_space_back str start (j - 1)
+  else j
+
+(* Scans [str] by index: only the trimmed components are copied. *)
 let of_string str =
-  let str = String.trim str in
-  let n = String.length str in
-  if n < 5 || String.sub str 0 2 <> "<<" || String.sub str (n - 2) 2 <> ">>"
-  then Error (Printf.sprintf "not a scheme: %S" str)
+  let lo = skip_space str 0 (String.length str) in
+  let hi = skip_space_back str lo (String.length str) in
+  let fail what =
+    Error (Printf.sprintf "%s: %S" what (String.sub str lo (hi - lo)))
+  in
+  if
+    hi - lo < 5
+    || str.[lo] <> '<'
+    || str.[lo + 1] <> '<'
+    || str.[hi - 2] <> '>'
+    || str.[hi - 1] <> '>'
+  then fail "not a scheme"
   else
-    let inner = String.sub str 2 (n - 4) in
-    let parts = String.split_on_char ',' inner |> List.map String.trim in
-    match parts with
-    | [] | [ "" ] -> Error (Printf.sprintf "empty scheme: %S" str)
-    | parts when List.exists (fun p -> p = "") parts ->
-        Error (Printf.sprintf "blank component in scheme: %S" str)
-    | [ t ] -> Ok (table t)
-    | [ t; c ] -> Ok (column t c)
-    | lang :: construct :: args when args <> [] ->
-        Ok { language = lang; construct; args }
-    | _ -> Error (Printf.sprintf "malformed scheme: %S" str)
+    let first = lo + 2 in
+    (* components right to left, so the list is built in order: [i]
+       walks back from [stop], the end of the current component, to the
+       comma or the [<<] before it *)
+    let rec split stop i parts blank =
+      if i >= first && str.[i] <> ',' then split stop (i - 1) parts blank
+      else
+        let a = skip_space str (i + 1) stop in
+        let b = skip_space_back str a stop in
+        let parts = String.sub str a (b - a) :: parts in
+        let blank = blank || a = b in
+        if i >= first then split i (i - 1) parts blank else (parts, blank)
+    in
+    match split (hi - 2) (hi - 3) [] false with
+    | [ "" ], _ -> fail "empty scheme"
+    | _, true -> fail "blank component in scheme"
+    | [ t ], _ -> Ok (table t)
+    | [ t; c ], _ -> Ok (column t c)
+    | language :: construct :: args, _ -> Ok { language; construct; args }
+    | [], _ -> fail "malformed scheme"
 
 let rename n s =
   match List.rev s.args with

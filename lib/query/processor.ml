@@ -70,8 +70,8 @@ type t = {
   prune : bool;
   cache : (Value.Bag.t * SS.t) EH.t;
       (* cached bag plus the sources whose data it incorporates *)
-  pcache : (Peval.entry list * Lineage.t * SS.t) EH.t;
-      (* the annotated twin of [cache], for provenance runs *)
+  pcache : ((Peval.entry list * Lineage.t) * SS.t) EH.t;
+      (* the same for annotated extents, for provenance runs *)
   pinfo : (Transform.pathway, Scheme.Set.t option) Hashtbl.t;
       (* reachability live set per stored pathway; None: never prune *)
   mutable visiting : string list; (* schemas on the derivation stack *)
@@ -100,9 +100,6 @@ let create ?resilience ?(prune = true) repo =
 let repository t = t.repo
 let resilience t = t.resilience
 
-let cache_stats t =
-  (EH.length t.cache, EH.length t.pcache, Hashtbl.length t.pinfo)
-
 let invalidate t =
   EH.reset t.cache;
   EH.reset t.pcache;
@@ -111,27 +108,25 @@ let invalidate t =
   t.frames <- []
 
 (* Targeted churn invalidation: exactly the entries tainted by [source]
-   are dropped from all three caches — extent bags and provenance twins
+   are dropped from all three caches — plain and annotated extents
    whose contributing-source sets cite it, and the live sets of pathways
    that start or end at it (an evolution alters the source's shape or
    replaces those pathways, so their live sets are stale).
    Entries of untouched sources survive; the emitted counters let tests
    pin both directions (no stale hits, no over-invalidation). *)
 let invalidate_source t source =
-  let doomed =
-    EH.fold
-      (fun ((schema, _) as key) (_, srcs) acc ->
-        if schema = source || SS.mem source srcs then key :: acc else acc)
-      t.cache []
+  let sweep cache =
+    let doomed =
+      EH.fold
+        (fun ((schema, _) as key) (_, srcs) acc ->
+          if schema = source || SS.mem source srcs then key :: acc else acc)
+        cache []
+    in
+    List.iter (EH.remove cache) doomed;
+    List.length doomed
   in
-  List.iter (EH.remove t.cache) doomed;
-  let doomed_p =
-    EH.fold
-      (fun ((schema, _) as key) (_, _, srcs) acc ->
-        if schema = source || SS.mem source srcs then key :: acc else acc)
-      t.pcache []
-  in
-  List.iter (EH.remove t.pcache) doomed_p;
+  let doomed = sweep t.cache in
+  let doomed_p = sweep t.pcache in
   let doomed_i =
     Hashtbl.fold
       (fun (p : Transform.pathway) _ acc ->
@@ -141,9 +136,8 @@ let invalidate_source t source =
   in
   List.iter (Hashtbl.remove t.pinfo) doomed_i;
   if Telemetry.active () then begin
-    Telemetry.count ~by:(List.length doomed) "processor.invalidated.extents";
-    Telemetry.count ~by:(List.length doomed_p)
-      "processor.invalidated.provenance";
+    Telemetry.count ~by:doomed "processor.invalidated.extents";
+    Telemetry.count ~by:doomed_p "processor.invalidated.provenance";
     Telemetry.count ~by:(List.length doomed_i) "processor.invalidated.pinfo"
   end
 
@@ -256,49 +250,87 @@ let live_set t (p : Transform.pathway) =
         Hashtbl.replace t.pinfo p live;
         live
 
-let rec extent_exn t ~schema o =
-  match EH.find_opt t.cache (schema, o) with
-  | Some (bag, srcs) ->
+(* -- the derivation walk ------------------------------------------------- *)
+
+(* The one cycle guard: [f] runs with [schema] on the derivation stack. *)
+let descend t schema f =
+  if List.mem schema t.visiting then
+    err "cycle in pathway network at schema %s" schema;
+  t.visiting <- schema :: t.visiting;
+  Fun.protect ~finally:(fun () -> t.visiting <- List.tl t.visiting) f
+
+(* What one pathway into a schema yields for one of its objects. *)
+type contribution =
+  | Pruned  (* reachability proves the contribution empty *)
+  | Undefined  (* the object is deleted or contracted along the pathway *)
+  | Defined of Ast.expr  (* its view definition over the pathway's source *)
+
+(* The one pathway enumeration that plain and annotated extents,
+   reformulation and explain all interpret.  Each pathway into [schema]
+   is decided and handed to [f] before the next one is analysed, so
+   replays, evaluations and spans interleave depth-first.  [evolved]
+   marks a degraded run crossing a pathway from an evolved-away source:
+   the quarantined pathway yields nothing, but the run must account for
+   the support the answer can no longer have. *)
+let contributions t ~schema o f =
+  List.filter_map
+    (fun (p : Transform.pathway) ->
+      let evolved = t.degraded && Repository.retired t.repo p.from_schema in
+      if evolved then
+        note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
+      let c =
+        match live_set t p with
+        | Some live when not (Scheme.Set.mem o live) ->
+            Telemetry.count "processor.pathways_pruned";
+            Pruned
+        | _ -> (
+            match Scheme.Map.find_opt o (defs_of_pathway t.repo p) with
+            | None -> Undefined
+            | Some e -> Defined e)
+      in
+      f p ~evolved c)
+    (Repository.pathways_into t.repo schema)
+
+let schema_exn t schema =
+  match Repository.schema t.repo schema with
+  | Some s -> s
+  | None -> err "no schema %s" schema
+
+let check_object sch ~schema o =
+  if not (Schema.mem o sch) then
+    err "schema %s has no object %s" schema (Scheme.to_string o)
+
+(* The memoised extent, plain or annotated: a cached result is served
+   with its contributing sources; otherwise [compute] runs on the
+   derivation stack inside a provenance frame and a [processor.extent]
+   span.  A result computed while a source was skipped is partial:
+   serving it after the source recovers would be a staleness bug, so
+   only untainted results are cached. *)
+let memo_extent t cache ~schema o compute =
+  match EH.find_opt cache (schema, o) with
+  | Some (v, srcs) ->
       Telemetry.count "processor.extent.cache_hits";
       note_sources t srcs;
-      bag
+      v
   | None ->
       Telemetry.count "processor.extent.cache_misses";
-      if List.mem schema t.visiting then
-        err "cycle in pathway network at schema %s" schema;
-      let sch =
-        match Repository.schema t.repo schema with
-        | Some s -> s
-        | None -> err "no schema %s" schema
-      in
-      if not (Schema.mem o sch) then
-        err "schema %s has no object %s" schema (Scheme.to_string o);
-      t.visiting <- schema :: t.visiting;
+      descend t schema @@ fun () ->
+      check_object (schema_exn t schema) ~schema o;
       let frame = push_frame t in
-      let finish () =
-        t.visiting <- List.tl t.visiting;
-        pop_frame t frame
-      in
-      let bag =
+      let v =
         Telemetry.with_span "processor.extent"
           ~attrs:(fun () ->
             [ ("schema", schema); ("object", Scheme.to_string o) ])
-          (fun () ->
-            match compute_extent t ~schema o with
-            | bag -> finish (); bag
-            | exception e -> finish (); raise e)
+          (fun () -> Fun.protect ~finally:(fun () -> pop_frame t frame) compute)
       in
-      (* a bag computed while a source was skipped is partial: serving it
-         from the cache after the source recovers would be a staleness
-         bug, so only complete bags are cached *)
-      if not frame.tainted then EH.replace t.cache (schema, o) (bag, frame.srcs);
-      bag
+      if not frame.tainted then EH.replace cache (schema, o) (v, frame.srcs);
+      v
 
 (* The raw source fetch, routed through the resilience kernel when the
    schema is a registered source.  In degraded mode an exhausted fetch
    becomes a recorded skip (contributing nothing); otherwise it is a
    query error. *)
-and fetch_stored t ~schema o :
+let fetch_stored t ~schema o :
     [ `Stored of Value.Bag.t | `Absent | `Skipped of string * skip_kind ] =
   let fetch () = Repository.stored_extent t.repo ~schema o in
   let classify = function
@@ -335,7 +367,7 @@ and fetch_stored t ~schema o :
           else err "%s" reason)
   | _ -> classify (fetch ())
 
-and fetch_stored_traced t ~schema o =
+let fetch_stored_traced t ~schema o =
   Telemetry.with_span "source.fetch"
     ~attrs:(fun () -> [ ("schema", schema); ("object", Scheme.to_string o) ])
     (fun () ->
@@ -350,42 +382,34 @@ and fetch_stored_traced t ~schema o =
          | `Skipped _ -> ());
       r)
 
-and compute_extent t ~schema o =
+let non_collection e ~schema v =
+  err "query %s over %s produced a non-collection %s" (Ast.to_string e) schema
+    (Value.to_string v)
+
+(* -- plain extents: the bag union of the stored extent and every
+   pathway's evaluated view definition ------------------------------------ *)
+
+let rec extent_exn t ~schema o =
+  memo_extent t t.cache ~schema o @@ fun () ->
   let stored =
     match fetch_stored_traced t ~schema o with
     | `Stored b -> [ b ]
     | `Absent | `Skipped _ -> []
   in
-  let from_pathways =
-    List.filter_map
-      (fun (p : Transform.pathway) ->
-        (* a contribution that used to flow from an evolved-away source:
-           the quarantined pathway yields nothing, but a degraded run
-           must account for the support the answer can no longer have *)
-        if t.degraded && Repository.retired t.repo p.from_schema then
-          note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
-        match live_set t p with
-        | Some live when not (Scheme.Set.mem o live) ->
-            Telemetry.count "processor.pathways_pruned";
-            None
-        | _ -> (
-            let defs = defs_of_pathway t.repo p in
-            match Scheme.Map.find_opt o defs with
-            | None -> None
-            | Some e -> Some (eval_over t ~schema:p.from_schema e)))
-      (Repository.pathways_into t.repo schema)
+  let derived =
+    contributions t ~schema o (fun p ~evolved:_ -> function
+      | Defined e -> Some (eval_over t ~schema:p.from_schema e)
+      | Pruned | Undefined -> None)
   in
-  List.fold_left Value.Bag.union Value.Bag.empty (stored @ from_pathways)
+  List.fold_left Value.Bag.union Value.Bag.empty (stored @ derived)
+
+and plain_env t ~schema =
+  Eval.env ~schemes:(fun s -> Some (extent_exn t ~schema s)) ()
 
 and eval_over t ~schema e =
-  let env =
-    Eval.env ~schemes:(fun s -> Some (extent_exn t ~schema s)) ()
-  in
-  match Eval.eval env e with
+  match Eval.eval (plain_env t ~schema) e with
   | Ok (Value.Bag b) -> b
-  | Ok v ->
-      err "query %s over %s produced a non-collection %s" (Ast.to_string e)
-        schema (Value.to_string v)
+  | Ok v -> non_collection e ~schema v
   | Error e -> err "%s" (Fmt.str "%a" Eval.pp_error e)
 
 let extent_of t ~schema o =
@@ -393,57 +417,13 @@ let extent_of t ~schema o =
   | bag -> Ok bag
   | exception Err e -> Error (add_context ~schema e)
 
-(* -- provenance-annotated extents ---------------------------------------- *)
+(* -- annotated extents: the same walk over lineage-carrying bags.  Stored
+   rows are tagged with their extent atom and the telemetry span id of the
+   fetch; every pathway crossing stamps a hop; a degraded-mode skip leaves
+   a marker in the ambient lineage ------------------------------------------ *)
 
-let hop_of (p : Transform.pathway) =
-  {
-    Lineage.pathway = p.from_schema ^ "->" ^ p.to_schema;
-    steps = List.length p.steps;
-  }
-
-(* The annotated twin of [extent_exn]/[compute_extent]/[eval_over]: the
-   same derivation walk (same caching discipline, same provenance
-   frames, same pruning) over lineage-carrying bags.  Stored rows are
-   tagged with their extent atom and the telemetry span id of the fetch;
-   every pathway crossing stamps a hop; a degraded-mode skip leaves a
-   marker in the ambient lineage. *)
 let rec extent_av t ~schema o : Peval.entry list * Lineage.t =
-  match EH.find_opt t.pcache (schema, o) with
-  | Some (es, amb, srcs) ->
-      Telemetry.count "processor.extent.cache_hits";
-      note_sources t srcs;
-      (es, amb)
-  | None ->
-      Telemetry.count "processor.extent.cache_misses";
-      if List.mem schema t.visiting then
-        err "cycle in pathway network at schema %s" schema;
-      let sch =
-        match Repository.schema t.repo schema with
-        | Some s -> s
-        | None -> err "no schema %s" schema
-      in
-      if not (Schema.mem o sch) then
-        err "schema %s has no object %s" schema (Scheme.to_string o);
-      t.visiting <- schema :: t.visiting;
-      let frame = push_frame t in
-      let finish () =
-        t.visiting <- List.tl t.visiting;
-        pop_frame t frame
-      in
-      let ((es, amb) as res) =
-        Telemetry.with_span "processor.extent"
-          ~attrs:(fun () ->
-            [ ("schema", schema); ("object", Scheme.to_string o) ])
-          (fun () ->
-            match compute_extent_av t ~schema o with
-            | r -> finish (); r
-            | exception e -> finish (); raise e)
-      in
-      if not frame.tainted then
-        EH.replace t.pcache (schema, o) (es, amb, frame.srcs);
-      res
-
-and compute_extent_av t ~schema o =
+  memo_extent t t.pcache ~schema o @@ fun () ->
   let base =
     match fetch_stored_traced t ~schema o with
     | `Stored b ->
@@ -456,93 +436,75 @@ and compute_extent_av t ~schema o =
     | `Skipped (_reason, Skip_faulty) -> ([], Lineage.skip schema)
     | `Skipped (_reason, Skip_evolved) -> ([], Lineage.skip_evolved schema)
   in
-  let contribs =
-    List.filter_map
-      (fun (p : Transform.pathway) ->
-        let evolved_from =
-          t.degraded && Repository.retired t.repo p.from_schema
-        in
-        if evolved_from then
-          note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
-        match live_set t p with
-        | Some live when not (Scheme.Set.mem o live) ->
-            Telemetry.count "processor.pathways_pruned";
-            if evolved_from then
-              Some ([], Lineage.skip_evolved p.from_schema)
-            else None
-        | _ -> (
-            let defs = defs_of_pathway t.repo p in
-            match Scheme.Map.find_opt o defs with
-            | None ->
-                if evolved_from then
-                  Some ([], Lineage.skip_evolved p.from_schema)
-                else None
-            | Some e ->
-                let es, amb = eval_over_av t ~schema:p.from_schema e in
-                let amb =
-                  if evolved_from then
-                    Lineage.union amb (Lineage.skip_evolved p.from_schema)
-                  else amb
-                in
-                let hop = hop_of p in
-                Some
-                  ( List.map
-                      (fun (en : Peval.entry) ->
-                        { en with lin = Lineage.add_hop hop en.lin })
-                      es,
-                    Lineage.add_hop hop amb )))
-      (Repository.pathways_into t.repo schema)
+  let derived =
+    contributions t ~schema o (fun p ~evolved -> function
+      | Pruned | Undefined ->
+          if evolved then Some ([], Lineage.skip_evolved p.from_schema)
+          else None
+      | Defined e ->
+          let es, amb = eval_over_av t ~schema:p.from_schema e in
+          let amb =
+            if evolved then
+              Lineage.union amb (Lineage.skip_evolved p.from_schema)
+            else amb
+          in
+          let hop =
+            {
+              Lineage.pathway = p.from_schema ^ "->" ^ p.to_schema;
+              steps = List.length p.steps;
+            }
+          in
+          Some
+            ( List.map
+                (fun (en : Peval.entry) ->
+                  { en with lin = Lineage.add_hop hop en.lin })
+                es,
+              Lineage.add_hop hop amb ))
   in
   List.fold_left
     (fun (es, amb) (es', amb') ->
       (Peval.merge_entries es es', Lineage.union amb amb'))
-    base contribs
+    base derived
+
+and annotated_env t ~schema =
+  Peval.env
+    ~schemes:(fun s ->
+      let es, amb = extent_av t ~schema s in
+      Some (Peval.abag es amb))
+    ()
 
 and eval_over_av t ~schema e =
-  let env =
-    Peval.env
-      ~schemes:(fun s ->
-        let es, amb = extent_av t ~schema s in
-        Some (Peval.abag es amb))
-      ()
-  in
-  match Peval.eval env e with
+  match Peval.eval (annotated_env t ~schema) e with
   | Ok (Peval.ABag (es, amb)) -> (es, amb)
-  | Ok av ->
-      err "query %s over %s produced a non-collection %s" (Ast.to_string e)
-        schema
-        (Value.to_string (Peval.value_of av))
+  | Ok av -> non_collection e ~schema (Peval.value_of av)
   | Error e -> err "%s" (Fmt.str "%a" Peval.pp_error e)
 
-let check_refs t ~schema q =
-  let sch =
-    match Repository.schema t.repo schema with
-    | Some s -> s
-    | None -> err "no schema %s" schema
-  in
-  Scheme.Set.iter
-    (fun s ->
-      if not (Schema.mem s sch) then
-        err "schema %s has no object %s" schema (Scheme.to_string s))
-    (Ast.schemes q)
+(* -- runs ---------------------------------------------------------------- *)
 
-let run_internal ~optimize t ~schema q =
-  (* the expression actually evaluated, for error context and probes *)
+let check_refs t ~schema q =
+  let sch = schema_exn t schema in
+  Scheme.Set.iter (check_object sch ~schema) (Ast.schemes q)
+
+(* The request scaffold of plain and annotated runs: reference check,
+   optimisation, and error context carrying the size of the expression
+   actually evaluated. *)
+let evaluate ~optimize ~pp t ~schema q eval =
   let evaluated = ref q in
   match
     check_refs t ~schema q;
     let q = if optimize then Automed_iql.Optimize.optimize q else q in
     evaluated := q;
-    let env = Eval.env ~schemes:(fun s -> Some (extent_exn t ~schema s)) () in
-    Eval.eval env q
+    eval q
   with
   | Ok v -> Ok v
   | Error e ->
-      Error
-        (error ~schema ~expr_size:(Ast.size !evaluated)
-           (Fmt.str "%a" Eval.pp_error e))
+      Error (error ~schema ~expr_size:(Ast.size !evaluated) (Fmt.str "%a" pp e))
   | exception Err e ->
       Error (add_context ~schema ~expr_size:(Ast.size !evaluated) e)
+
+let run_internal ~optimize t ~schema q =
+  evaluate ~optimize ~pp:Eval.pp_error t ~schema q (fun q ->
+      Eval.eval (plain_env t ~schema) q)
 
 let run ?(optimize = true) t ~schema q =
   Telemetry.with_span "processor.run" ~attrs:(fun () -> [ ("schema", schema) ])
@@ -568,43 +530,22 @@ type annotated = {
 let default_mac_key = "automed-provenance-v1"
 
 let run_provenance_internal ~optimize ~key t ~schema q =
-  let evaluated = ref q in
-  match
-    check_refs t ~schema q;
-    let q = if optimize then Automed_iql.Optimize.optimize q else q in
-    evaluated := q;
-    let env =
-      Peval.env
-        ~schemes:(fun s ->
-          let es, amb = extent_av t ~schema s in
-          Some (Peval.abag es amb))
-        ()
-    in
-    Peval.eval env q
-  with
-  | Ok av ->
-      let sign v lin = Lineage.sign ~key v lin in
-      let tuples =
-        match av with
-        | Peval.ABag (es, _) ->
-            List.map
-              (fun (e : Peval.entry) ->
-                { value = e.v; count = e.n; lineage = e.lin;
-                  mac = sign e.v e.lin })
-              es
-        | Peval.Scalar (v, l) ->
-            [ { value = v; count = 1; lineage = l; mac = sign v l } ]
-      in
-      Ok
-        { result = Peval.value_of av;
-          tuples;
-          lineage = Peval.lineage_of av }
-  | Error e ->
-      Error
-        (error ~schema ~expr_size:(Ast.size !evaluated)
-           (Fmt.str "%a" Peval.pp_error e))
-  | exception Err e ->
-      Error (add_context ~schema ~expr_size:(Ast.size !evaluated) e)
+  evaluate ~optimize ~pp:Peval.pp_error t ~schema q (fun q ->
+      Peval.eval (annotated_env t ~schema) q)
+  |> Result.map (fun av ->
+         let sign v lin = Lineage.sign ~key v lin in
+         let tuples =
+           match av with
+           | Peval.ABag (es, _) ->
+               List.map
+                 (fun (e : Peval.entry) ->
+                   { value = e.v; count = e.n; lineage = e.lin;
+                     mac = sign e.v e.lin })
+                 es
+           | Peval.Scalar (v, l) ->
+               [ { value = v; count = 1; lineage = l; mac = sign v l } ]
+         in
+         { result = Peval.value_of av; tuples; lineage = Peval.lineage_of av })
 
 let run_provenance ?(optimize = true) ?(key = default_mac_key) t ~schema q =
   Telemetry.with_span "processor.run"
@@ -749,34 +690,18 @@ let rec unfold_expr t ~schema q =
   Ast.subst_schemes (fun o -> Some (unfold_scheme t ~schema o)) q
 
 and unfold_scheme t ~schema o =
-  if List.mem schema t.visiting then
-    err "cycle in pathway network at schema %s" schema;
+  descend t schema @@ fun () ->
   let stored =
     match Repository.stored_extent t.repo ~schema o with
     | Some _ -> [ Ast.SchemeRef (Scheme.prefix schema o) ]
     | None -> []
   in
-  t.visiting <- schema :: t.visiting;
-  let finish () = t.visiting <- List.tl t.visiting in
-  let from_pathways =
-    match
-      List.filter_map
-        (fun (p : Transform.pathway) ->
-          match live_set t p with
-          | Some live when not (Scheme.Set.mem o live) ->
-              Telemetry.count "processor.pathways_pruned";
-              None
-          | _ -> (
-              let defs = defs_of_pathway t.repo p in
-              match Scheme.Map.find_opt o defs with
-              | None -> None
-              | Some e -> Some (unfold_expr t ~schema:p.from_schema e)))
-        (Repository.pathways_into t.repo schema)
-    with
-    | contributions -> finish (); contributions
-    | exception e -> finish (); raise e
+  let derived =
+    contributions t ~schema o (fun p ~evolved:_ -> function
+      | Defined e -> Some (unfold_expr t ~schema:p.from_schema e)
+      | Pruned | Undefined -> None)
   in
-  match stored @ from_pathways with
+  match stored @ derived with
   | [] -> Ast.Void (* no derivation: certain answers are empty *)
   | [ e ] -> e
   | e :: rest -> List.fold_left (fun acc e -> Ast.Binop (Union, acc, e)) e rest
@@ -830,49 +755,27 @@ type explain = {
 }
 
 let rec explain_object t ~schema o =
-  if List.mem schema t.visiting then
-    err "cycle in pathway network at schema %s" schema;
+  descend t schema @@ fun () ->
   let stored = Repository.stored_extent t.repo ~schema o in
-  t.visiting <- schema :: t.visiting;
-  let finish () = t.visiting <- List.tl t.visiting in
   let pathways =
-    match
-      List.map
-        (fun (p : Transform.pathway) ->
-          let base =
-            { ep_from = p.from_schema; ep_steps = List.length p.steps;
-              ep_decision = Pruned "" }
-          in
-          match live_set t p with
-          | Some live when not (Scheme.Set.mem o live) ->
-              { base with
-                ep_decision =
-                  Pruned
-                    "reachability: no stored extent is live under this \
-                     pathway's definition of the object, so its \
-                     contribution is provably the empty bag" }
-          | _ -> (
-              let defs = defs_of_pathway t.repo p in
-              match Scheme.Map.find_opt o defs with
-              | None ->
-                  { base with
-                    ep_decision =
-                      No_definition
-                        "the object is deleted or contracted along the \
-                         pathway: no view definition reaches the target" }
-              | Some e ->
-                  let children =
-                    Scheme.Set.fold
-                      (fun s acc ->
-                        explain_object t ~schema:p.from_schema s :: acc)
-                      (Ast.schemes e) []
-                    |> List.rev
-                  in
-                  { base with ep_decision = Applied children }))
-        (Repository.pathways_into t.repo schema)
-    with
-    | r -> finish (); r
-    | exception e -> finish (); raise e
+    contributions t ~schema o (fun p ~evolved:_ (c : contribution) ->
+        let ep_decision =
+          match c with
+          | Pruned ->
+              Pruned
+                "reachability: no stored extent is live under this \
+                 pathway's definition of the object, so its contribution \
+                 is provably the empty bag"
+          | Undefined ->
+              No_definition
+                "the object is deleted or contracted along the pathway: no \
+                 view definition reaches the target"
+          | Defined e ->
+              Applied (explain_objects t ~schema:p.from_schema e)
+        in
+        Some
+          { ep_from = p.from_schema; ep_steps = List.length p.steps;
+            ep_decision })
   in
   {
     en_schema = schema;
@@ -886,6 +789,10 @@ let rec explain_object t ~schema o =
     en_pathways = pathways;
   }
 
+(* one node per object [e] reads, in scheme order *)
+and explain_objects t ~schema e =
+  List.map (explain_object t ~schema) (Scheme.Set.elements (Ast.schemes e))
+
 let explain_plan ?(optimize = true) t ~schema q =
   Telemetry.with_span "processor.explain"
     ~attrs:(fun () -> [ ("schema", schema) ])
@@ -894,13 +801,8 @@ let explain_plan ?(optimize = true) t ~schema q =
   match
     check_refs t ~schema q;
     let q' = if optimize then Automed_iql.Optimize.optimize q else q in
-    let roots =
-      Scheme.Set.fold
-        (fun s acc -> explain_object t ~schema s :: acc)
-        (Ast.schemes q') []
-      |> List.rev
-    in
-    { ex_schema = schema; ex_query = q; ex_optimized = q'; ex_roots = roots }
+    { ex_schema = schema; ex_query = q; ex_optimized = q';
+      ex_roots = explain_objects t ~schema q' }
   with
   | r -> Ok r
   | exception Err e -> Error (add_context ~schema e)

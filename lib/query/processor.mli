@@ -19,16 +19,23 @@
       sources stay distinct.  Running the reformulated query against
       {!source_env} gives the same answer as {!run}.
 
-    Two observability companions ride on the same derivation walk:
+    Two observability companions interpret the same derivation walk:
 
-    - {!run_provenance} evaluates through the provenance-annotated
-      shadow interpreter ({!Automed_provenance.Peval}), returning the
+    - {!run_provenance} evaluates with the provenance-annotated
+      interpreter ({!Automed_provenance.Peval}), returning the
       bit-identical answer plus, per answer tuple, the
       {!Automed_provenance.Lineage.t} citing the stored extents,
       pathway hops and telemetry spans the tuple was derived from;
     - {!explain_plan} renders the plan story without running the query:
       per source the reformulation tree, each reachability-pruning or
-      no-definition decision with its reason, and cache state. *)
+      no-definition decision with its reason, and cache state.
+
+    All four — plain and annotated extents, reformulation and explain —
+    share one enumeration of the pathways into a schema (one cycle
+    guard, one pruning decision, one pathway replay per pathway) and
+    differ only in what they make of each pathway's contribution.
+    Plain and annotated extents also share one memoisation discipline:
+    an extent computed while a source was skipped is never cached. *)
 
 module Scheme = Automed_base.Scheme
 module Ast = Automed_iql.Ast
@@ -39,7 +46,7 @@ module Lineage = Automed_provenance.Lineage
 module Peval = Automed_provenance.Peval
 
 type t
-(** A processor wraps a repository with an extent cache. *)
+(** A processor wraps a repository with its extent caches. *)
 
 val create : ?resilience:Resilience.t -> ?prune:bool -> Repository.t -> t
 (** With [resilience], every stored-extent fetch of a source registered
@@ -61,28 +68,23 @@ val create : ?resilience:Resilience.t -> ?prune:bool -> Repository.t -> t
 val repository : t -> Repository.t
 val resilience : t -> Resilience.t option
 
-val cache_stats : t -> int * int * int
-(** Live entries in the three caches — plain extents, provenance twins,
-    memoised pathway analyses — for the status dashboard's cache line
-    (how much state a cache-invalidation churn throws away). *)
-
 val invalidate : t -> unit
-(** Drops the extent cache (call after data or pathway changes). *)
+(** Drops all three caches — plain extents, annotated extents and the
+    memoised pathway live sets (call after data or pathway changes). *)
 
 val invalidate_source : t -> string -> unit
 (** Drops every cache entry that incorporates data from the given source
-    schema (directly or through derivation) — extent bags, provenance
-    twins, and the memoised live sets of pathways that start or end at
-    the source — so a
-    recovered, refreshed or {e evolved} source is re-analysed and
-    re-fetched on the next query, while entries of untouched sources
-    stay cached.  Partial bags computed while a source was skipped are
-    never cached in the first place, so this is only needed after the
-    source's data or shape changed.  Emits the counters
-    [processor.invalidated.extents], [processor.invalidated.provenance]
-    and [processor.invalidated.pinfo] with the number of entries
-    dropped (the cache-hygiene regression tests pin both directions on
-    these). *)
+    schema (directly or through derivation) — plain and annotated
+    extents, and the memoised live sets of pathways that start or end
+    at the source — so a recovered, refreshed or {e evolved} source is
+    re-analysed and re-fetched on the next query, while entries of
+    untouched sources stay cached.  Partial extents computed while a
+    source was skipped are never cached in the first place, so this is
+    only needed after the source's data or shape changed.  Emits the
+    counters [processor.invalidated.extents],
+    [processor.invalidated.provenance] and [processor.invalidated.pinfo]
+    with the number of entries dropped (the cache-hygiene regression
+    tests pin both directions on these). *)
 
 type error = {
   message : string;
@@ -149,7 +151,7 @@ val run_provenance :
   schema:string ->
   Ast.expr ->
   (annotated, error) result
-(** Like {!run}, but through the lineage-carrying shadow interpreter.
+(** Like {!run}, but through the lineage-carrying annotated interpreter.
     The [result] field is guaranteed bit-identical to {!run}'s answer:
     scalar operator semantics are delegated to the reference evaluator
     (see {!Automed_provenance.Peval}), and the suite checks the

@@ -569,7 +569,8 @@ let test_explain_plan () =
 
 let test_ispider_provenance_and_explain () =
   (* acceptance: all 7 case-study queries run with per-tuple lineage,
-     bit-identical to the plain run, and explain_plan tells the story *)
+     bit-identical to the plain run, their reformulation over the sources
+     gives the plain answer, and explain_plan tells the story *)
   let module Sources = Automed_ispider.Sources in
   let module Queries = Automed_ispider.Queries in
   let module Intersection_run = Automed_ispider.Intersection_run in
@@ -577,6 +578,7 @@ let test_ispider_provenance_and_explain () =
   ok (Sources.wrap_all repo (Sources.generate ()));
   let run = ok (Intersection_run.execute repo) in
   let wf = run.Intersection_run.workflow in
+  let proc = Workflow.processor wf in
   List.iter
     (fun (query : Queries.query) ->
       let text = query.Queries.global_text in
@@ -586,6 +588,19 @@ let test_ispider_provenance_and_explain () =
         (Printf.sprintf "Q%d bit-identical" query.Queries.number)
         true
         (Value.equal plain ann.Processor.result);
+      let unfolded =
+        ok_p
+          (Processor.reformulate proc ~schema:(Workflow.global_name wf)
+             (Parser.parse_exn text))
+      in
+      (match Eval.eval (Processor.source_env proc) unfolded with
+      | Ok v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "Q%d reformulation agrees" query.Queries.number)
+            true (Value.equal plain v)
+      | Error e ->
+          Alcotest.failf "Q%d reformulation: %a" query.Queries.number
+            Eval.pp_error e);
       List.iter
         (fun (tp : Processor.annotated_tuple) ->
           Alcotest.(check bool) "tuple cites at least one source" true

@@ -197,6 +197,8 @@ let test_invalidate () =
   Alcotest.(check int) "after invalidate" 3 (Value.Bag.cardinal fresh)
 
 let test_cycle_detection () =
+  (* every walker — plain and annotated extents, reformulation, explain —
+     reports the a <-> b cycle with the same text, pruning or not *)
   let repo = Repository.create () in
   ok (Repository.add_schema repo (schema "a" [ Scheme.table "t" ]));
   ok (Repository.add_schema repo (schema "b" [ Scheme.table "t" ]));
@@ -206,13 +208,30 @@ let test_cycle_detection () =
   ok
     (Repository.add_pathway repo
        { Transform.from_schema = "b"; to_schema = "a"; steps = [] });
-  let proc = Processor.create repo in
-  match Processor.extent_of proc ~schema:"a" (Scheme.table "t") with
-  | Ok _ -> Alcotest.fail "cycle not detected"
-  | Error e ->
-      Alcotest.(check bool) "mentions cycle" true
-        (Automed_base.Strutil.contains_sub ~sub:"cycle"
-           (Fmt.str "%a" Processor.pp_error e))
+  let cycle = "cycle in pathway network at schema a" in
+  List.iter
+    (fun prune ->
+      let proc = Processor.create ~prune repo in
+      let expect walker want = function
+        | Ok _ -> Alcotest.failf "%s (prune %b): cycle not detected" walker prune
+        | Error e ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, prune %b" walker prune)
+              want
+              (Fmt.str "%a" Processor.pp_error e)
+      in
+      let query = q "<<t>>" in
+      expect "extent_of" (cycle ^ " [schema a]")
+        (Processor.extent_of proc ~schema:"a" (Scheme.table "t"));
+      expect "run" (cycle ^ " [schema a, reformulated size 1]")
+        (Processor.run proc ~schema:"a" query);
+      expect "run_provenance" (cycle ^ " [schema a, reformulated size 1]")
+        (Processor.run_provenance proc ~schema:"a" query);
+      expect "reformulate" (cycle ^ " [schema a]")
+        (Processor.reformulate proc ~schema:"a" query);
+      expect "explain_plan" (cycle ^ " [schema a]")
+        (Processor.explain_plan proc ~schema:"a" query))
+    [ true; false ]
 
 let test_translate_down () =
   (* query on the derived schema, translated onto the source *)

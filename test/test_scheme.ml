@@ -46,12 +46,30 @@ let test_parse_full () =
   | Error e -> Alcotest.fail e
 
 let test_parse_errors () =
+  (* the messages surface in checkpoint and journal load errors *)
   List.iter
-    (fun input ->
+    (fun (input, message) ->
       match Scheme.of_string input with
       | Ok _ -> Alcotest.failf "should reject %S" input
-      | Error _ -> ())
-    [ ""; "protein"; "<<>>"; "<<a,,b>>"; "<protein>"; "<<protein" ]
+      | Error e -> check input message e)
+    [
+      ("", {|not a scheme: ""|});
+      ("protein", {|not a scheme: "protein"|});
+      ("<<>>", {|not a scheme: "<<>>"|});
+      ("<<a,,b>>", {|blank component in scheme: "<<a,,b>>"|});
+      ("<protein>", {|not a scheme: "<protein>"|});
+      ("<<protein", {|not a scheme: "<<protein"|});
+      ("<< >>", {|empty scheme: "<< >>"|});
+      ("<<a, >>", {|blank component in scheme: "<<a, >>"|});
+      ("<<a,b,>>", {|blank component in scheme: "<<a,b,>>"|});
+      (" \t<<,a>>\n", {|blank component in scheme: "<<,a>>"|});
+    ];
+  match Scheme.of_string " << xml , element ,row, id >> " with
+  | Ok s ->
+      check "language" "xml" (Scheme.language s);
+      check "construct" "element" (Scheme.construct s);
+      Alcotest.(check (list string)) "args" [ "row"; "id" ] (Scheme.args s)
+  | Error e -> Alcotest.fail e
 
 let test_roundtrip () =
   List.iter
